@@ -16,7 +16,6 @@ from .blaschke import (
     MonomialFactorization,
     blaschke_gcd,
     blaschke_quotient,
-    boundary_spectrum,
     frostman_shift,
     generalized_frostman_shift,
     monomial_factorization,
@@ -36,11 +35,10 @@ from .modelspace import (
     ModelSpace,
     NoMultiplierError,
     build_space,
-    complement_project,
+    crofoot_gram_defect,
     crofoot_isometry_check,
     crofoot_multiplier,
     multiplier_between,
-    project,
     reproducing_kernels,
 )
 from .operators import (
@@ -60,6 +58,7 @@ from .operators import (
     multiplication_matrix,
     pullback_compatibility_defect,
     rank_equivalence,
+    selfadjoint_residual,
     subspace_angle,
     tto_matrix,
 )
@@ -75,7 +74,6 @@ from .rational import (
     fourier_coefficient,
     inner_product,
     norm2,
-    rat_arith,
     riesz_project,
     sup_on_circle,
     unit_circle_samples,

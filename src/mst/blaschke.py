@@ -24,7 +24,6 @@ __all__ = [
     "generalized_frostman_shift",
     "blaschke_gcd",
     "blaschke_quotient",
-    "boundary_spectrum",
 ]
 
 _ZERO_MARGIN = 1e-10
@@ -199,11 +198,3 @@ def blaschke_quotient(b: BlaschkeProduct, divisor: BlaschkeProduct) -> BlaschkeP
     remaining = tuple(z for j, z in enumerate(b.zeros) if j not in used)
     return BlaschkeProduct(remaining, b.constant / divisor.constant)
 
-
-def boundary_spectrum(b: BlaschkeProduct) -> frozenset:
-    """Circle points where the modulus fails to stay bounded below.
-
-    Finite products have no zero accumulation and no singular part, so the
-    set is empty; provided for interface completeness.
-    """
-    return frozenset()

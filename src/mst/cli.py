@@ -18,16 +18,17 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .dual import FormulaMismatch, dual_kernel
-from .modelspace import ModelSpace, NoMultiplierError, crofoot_multiplier
+from .modelspace import ModelSpace, NoMultiplierError, crofoot_gram_defect, crofoot_multiplier
 from .operators import (
     NotEquivalentError,
     conjugation_matrix,
     equivalence_transform,
     is_zero_symbol,
     rank_equivalence,
+    selfadjoint_residual,
     tto_matrix,
 )
-from .rational import CirclePoleError, ComplexPoly, RationalFn, circle_conjugate, inner_product
+from .rational import CirclePoleError, ComplexPoly, RationalFn, circle_conjugate
 from .serialize import (
     SchemaError,
     blaschke_from_json,
@@ -373,9 +374,7 @@ def _cmd_crofoot(args):
     space = _as_space(args.space)
     w = _parse_complex(args.w)
     j, target = crofoot_multiplier(space, w)
-    images = [j * e for e in space.basis]
-    gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
-    gram_residual = float(np.linalg.norm(gram - np.eye(space.dim)))
+    gram_residual = crofoot_gram_defect(space, j)
     vanishes = is_zero_symbol(
         space, space, RationalFn.one() - j * circle_conjugate(j), tol=1e-10
     )
@@ -396,11 +395,7 @@ def _cmd_conjugation_check(args):
     space = _as_space(args.space)
     symbol = _as_symbol(args.symbol)
     c = conjugation_matrix(space)
-    a = tto_matrix(space, space, symbol)
-    lhs = c.J @ np.conj(a.entries) @ np.linalg.inv(c.J)
-    residual = float(np.linalg.norm(lhs - a.entries.conj().T)) / (
-        1.0 + float(np.linalg.norm(a.entries))
-    )
+    residual = selfadjoint_residual(tto_matrix(space, space, symbol), c)
     payload = {
         "selfadjoint": residual < tol,
         "residual": residual,

@@ -23,6 +23,7 @@ from .blaschke import (
 from .modelspace import ModelSpace, multiplier_between
 from .rational import (
     ComplexPoly,
+    FourierSplit,
     RationalFn,
     circle_conjugate,
     fourier_coefficient,
@@ -83,6 +84,14 @@ class ComplementElement:
         return self.total()(z)
 
 
+def _compress(target: ModelSpace, symbol: RationalFn, f: RationalFn) -> FourierSplit:
+    """Multiply, remove the component in ``target`` and split the remainder
+    into its analytic and anti-analytic halves."""
+    g = symbol * f
+    remainder = g - target.project(g)
+    return riesz_project(remainder)
+
+
 def dual_apply(
     theta: BlaschkeProduct,
     alpha: BlaschkeProduct,
@@ -96,10 +105,7 @@ def dual_apply(
     """
     if not f.theta.same_space(theta):
         raise ValueError("element does not live on the stated complement")
-    target = ModelSpace(alpha)
-    g = symbol * f.total()
-    remainder = g - target.project(g)
-    split = riesz_project(remainder)
+    split = _compress(ModelSpace(alpha), symbol, f.total())
     return ComplementElement(alpha, split.analytic, split.antianalytic)
 
 
@@ -200,8 +206,10 @@ def dual_equivalence(
     returned value is the worst pointwise circle-sample residual over the
     probe family.  ``_tilde_override`` exists for negative controls.
     """
-    a1 = multiplier_between(ModelSpace(eta), ModelSpace(theta))
-    a2 = multiplier_between(ModelSpace(gamma), ModelSpace(alpha))
+    k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
+    k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
+    a1 = multiplier_between(k_eta, k_theta)
+    a2 = multiplier_between(k_gamma, k_alpha)
     a1_bar = circle_conjugate(a1)
     tilde = a2.inverse() * symbol * a1_bar.inverse()
     if _tilde_override is not None:
@@ -210,11 +218,11 @@ def dual_equivalence(
     zs = unit_circle_samples(32)
     worst = 0.0
     for _ in range(probes):
-        probe = _random_probe(theta, rng)
-        lhs = dual_apply(theta, alpha, symbol, probe)
-        step1 = dual_apply(theta, eta, a1_bar, probe)
-        step2 = dual_apply(eta, gamma, tilde, step1)
-        step3 = dual_apply(gamma, alpha, a2, step2)
+        f = _random_probe(theta, rng).total()
+        lhs = _compress(k_alpha, symbol, f).reconstruct()
+        step1 = _compress(k_eta, a1_bar, f).reconstruct()
+        step2 = _compress(k_gamma, tilde, step1).reconstruct()
+        step3 = _compress(k_alpha, a2, step2).reconstruct()
         residual = float(np.max(np.abs(lhs(zs) - step3(zs))))
         worst = max(worst, residual)
     return worst

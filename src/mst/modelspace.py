@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, frostman_shift, to_rational
+from .blaschke import BlaschkeProduct, _denominator_poly, frostman_shift, to_rational
 from .rational import (
     ComplexPoly,
     RationalFn,
     _pair_with_conjugate,
     circle_conjugate,
+    inner_product,
     norm2,
     sup_on_circle,
 )
@@ -30,10 +31,9 @@ __all__ = [
     "NoMultiplierError",
     "build_space",
     "reproducing_kernels",
-    "project",
-    "complement_project",
     "multiplier_between",
     "crofoot_multiplier",
+    "crofoot_gram_defect",
     "crofoot_isometry_check",
 ]
 
@@ -134,14 +134,6 @@ def build_space(b: BlaschkeProduct) -> ModelSpace:
     return ModelSpace(b)
 
 
-def project(space: ModelSpace, f: RationalFn) -> RationalFn:
-    return space.project(f)
-
-
-def complement_project(space: ModelSpace, f: RationalFn) -> RationalFn:
-    return space.complement_project(f)
-
-
 @dataclass(frozen=True)
 class KernelPair:
     """Reproducing kernel and its conjugate companion at one point."""
@@ -172,31 +164,23 @@ def reproducing_kernels(space: ModelSpace, point: complex) -> KernelPair:
     return KernelPair(k, k_tilde, point)
 
 
-def multiplier_between(source: ModelSpace, target: ModelSpace, verify: bool = True) -> RationalFn:
+def multiplier_between(source: ModelSpace, target: ModelSpace) -> RationalFn:
     """Canonical invertible multiplier carrying ``source`` onto ``target``.
 
     Built from the outer denominators: ``a = prod(1 - conj(s_j) z) /
     prod(1 - conj(t_j) z)`` over the source and target zeros, so ``a`` and
     ``1/a`` are analytic on the closed disk and ``a(0) = 1`` pins the
     constant (multipliers are unique up to one).  Spaces of different
-    dimensions admit no multiplier at all.
+    dimensions admit no multiplier at all.  The range property holds by
+    construction, so it is not re-checked here.
     """
     if source.dim != target.dim or source.dim == 0:
         raise NoMultiplierError(
             f"no multiplier between spaces of dimensions {source.dim} and {target.dim}"
         )
-    num = ComplexPoly([1.0])
-    for s in source.inner.zeros:
-        num = num * ComplexPoly([1.0, -np.conj(s)])
-    den = ComplexPoly([1.0])
-    for t in target.inner.zeros:
-        den = den * ComplexPoly([1.0, -np.conj(t)])
-    a = RationalFn(num, den)
-    if verify:
-        for e in source.basis:
-            if not target.contains(a * e):
-                raise NoMultiplierError("constructed multiplier failed the range check")
-    return a
+    return RationalFn(
+        _denominator_poly(source.inner.zeros), _denominator_poly(target.inner.zeros)
+    )
 
 
 def crofoot_multiplier(space: ModelSpace, w: complex):
@@ -209,6 +193,15 @@ def crofoot_multiplier(space: ModelSpace, w: complex):
     j = factor * (RationalFn.one() - np.conj(w) * space.rational).inverse()
     target = ModelSpace(frostman_shift(space.inner, w))
     return j, target
+
+
+def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
+    """Frobenius distance of the Gram matrix of ``j * e_k`` from the
+    identity; zero exactly when multiplication by ``j`` is isometric on
+    the space."""
+    images = [j * e for e in space.basis]
+    gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
+    return float(np.linalg.norm(gram - np.eye(space.dim)))
 
 
 def crofoot_isometry_check(

@@ -31,6 +31,7 @@ __all__ = [
     "equivalence_transform",
     "brown_halmos_product",
     "conjugation_matrix",
+    "selfadjoint_residual",
     "is_complex_selfadjoint",
     "conjugation_pullback",
     "rank_equivalence",
@@ -98,16 +99,13 @@ def multiplication_matrix(
 ) -> OperatorMatrix:
     """Exact matrix of ``f -> a f`` when ``a`` maps the domain into the
     codomain; rejects symbols that leak outside."""
-    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
     for j, e in enumerate(domain.basis):
-        g = a * e
-        if codomain.membership_residual(g) >= tol:
+        residual = codomain.membership_residual(a * e)
+        if residual >= tol:
             raise MultiplierRangeViolation(
-                f"a * (basis element {j}) leaves the codomain "
-                f"(residual {codomain.membership_residual(g):.3e})"
+                f"a * (basis element {j}) leaves the codomain (residual {residual:.3e})"
             )
-        entries[:, j] = codomain.coordinates(g)
-    return OperatorMatrix(entries, domain, codomain)
+    return tto_matrix(domain, codomain, a)
 
 
 def is_zero_symbol(
@@ -159,7 +157,9 @@ def equivalence_transform(
     where ``F`` is multiplication by ``1/a1`` from the theta-space to the
     eta-space and ``E`` is the compression of ``1/conj(a2)`` from the
     gamma-space to the alpha-space.  Both factors are invertible; their
-    condition numbers are reported.
+    condition numbers are reported.  ``1/a1`` maps the theta-space onto the
+    eta-space by construction, so ``F`` is its compression without a
+    range check.
     """
     k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
     k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
@@ -168,7 +168,7 @@ def equivalence_transform(
     a2_bar = circle_conjugate(a2)
     tilde = a2_bar * symbol * a1
     e_mat = tto_matrix(k_gamma, k_alpha, a2_bar.inverse())
-    f_mat = multiplication_matrix(k_theta, k_eta, a1.inverse())
+    f_mat = tto_matrix(k_theta, k_eta, a1.inverse())
     lhs = tto_matrix(k_theta, k_alpha, symbol)
     mid = tto_matrix(k_eta, k_gamma, tilde)
     rhs = e_mat @ mid @ f_mat
@@ -244,18 +244,24 @@ def conjugation_matrix(space: ModelSpace) -> ConjugationMatrix:
     return ConjugationMatrix(j, space)
 
 
-def is_complex_selfadjoint(
-    a: OperatorMatrix, c: ConjugationMatrix, tol: float = 1e-9
-) -> bool:
-    """Whether conjugating ``a`` by the antilinear map gives its adjoint."""
+def selfadjoint_residual(a: OperatorMatrix, c: ConjugationMatrix) -> float:
+    """Relative defect ``||J conj(A) J^-1 - A^H|| / (1 + ||A||)``; zero
+    exactly when ``a`` is complex selfadjoint for the conjugation."""
     if a.entries.shape[0] != a.entries.shape[1]:
         raise ValueError("operator must be square")
     if not a.domain.same_space(c.space):
         raise ValueError("operator and conjugation live on different spaces")
-    j = c.J
-    lhs = j @ np.conj(a.entries) @ np.linalg.inv(j)
-    rhs = a.entries.conj().T
-    return float(np.linalg.norm(lhs - rhs)) < tol * (1.0 + float(np.linalg.norm(a.entries)))
+    lhs = c.J @ np.conj(a.entries) @ np.linalg.inv(c.J)
+    return float(np.linalg.norm(lhs - a.entries.conj().T)) / (
+        1.0 + float(np.linalg.norm(a.entries))
+    )
+
+
+def is_complex_selfadjoint(
+    a: OperatorMatrix, c: ConjugationMatrix, tol: float = 1e-9
+) -> bool:
+    """Whether conjugating ``a`` by the antilinear map gives its adjoint."""
+    return selfadjoint_residual(a, c) < tol
 
 
 def conjugation_pullback(

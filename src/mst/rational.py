@@ -37,7 +37,6 @@ __all__ = [
     "ComplexPoly",
     "RationalFn",
     "FourierSplit",
-    "rat_arith",
     "circle_conjugate",
     "riesz_project",
     "inner_product",
@@ -263,6 +262,9 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
     local magnitude.  Testing values instead of matching root clouds keeps
     multiplicities working: a double root perturbs by sqrt(eps) under the
     eigenvalue root finder, but the value at the true point stays at eps.
+
+    Returns the reduced numerator and denominator and the denominator roots
+    that survived, so the caller needs no second root solve.
     """
     droots = d_rest.roots()
     nc = n_rest.coeffs.copy()
@@ -280,9 +282,10 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
             cancelled = True
         else:
             remaining.append(r)
-    if not cancelled:
-        return n_rest, d_rest
-    return ComplexPoly(nc), ComplexPoly.from_roots(np.array(remaining), lead=d_rest.lead)
+    if cancelled:
+        n_rest = ComplexPoly(nc)
+        d_rest = ComplexPoly.from_roots(np.array(remaining), lead=d_rest.lead)
+    return n_rest, d_rest, remaining
 
 
 class RationalFn:
@@ -314,8 +317,10 @@ class RationalFn:
         n_rest = _shift_down(n, common + vn)
         d_rest = _shift_down(d, common + vd)
         if n_rest.degree > 0 and d_rest.degree > 0:
-            n_rest, d_rest = _cancel_common_factors(n_rest, d_rest)
-        for r in d_rest.roots():
+            n_rest, d_rest, poles = _cancel_common_factors(n_rest, d_rest)
+        else:
+            poles = d_rest.roots()
+        for r in poles:
             if abs(abs(r) - 1.0) < pole_tolerance:
                 raise CirclePoleError(
                     f"denominator root {r} lies within {pole_tolerance} of the unit circle"
@@ -410,19 +415,6 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn(num={list(self.num.coeffs)!r}, den={list(self.den.coeffs)!r})"
-
-
-def rat_arith(f: RationalFn, g: RationalFn, op: str) -> RationalFn:
-    """Field arithmetic dispatcher: ``op`` is one of add/sub/mul/div."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def equality_residual(f: RationalFn, g: RationalFn) -> float:

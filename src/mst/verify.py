@@ -23,7 +23,14 @@ from .blaschke import (
     to_rational,
 )
 from .dual import dual_apply, dual_equivalence, dual_kernel, hankel_rank, ComplementElement
-from .modelspace import ModelSpace, build_space, crofoot_multiplier, multiplier_between, reproducing_kernels
+from .modelspace import (
+    ModelSpace,
+    build_space,
+    crofoot_gram_defect,
+    crofoot_multiplier,
+    multiplier_between,
+    reproducing_kernels,
+)
 from .operators import (
     conjugation_matrix,
     equivalence_transform,
@@ -31,6 +38,7 @@ from .operators import (
     is_zero_symbol,
     kernel_and_range,
     multiplication_matrix,
+    selfadjoint_residual,
     subspace_angle,
     tto_matrix,
 )
@@ -196,9 +204,7 @@ def _suite_model(seed: int) -> SuiteReport:
         space = build_space(random_blaschke(rng, degree=d))
         w = 0.8 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         j, target = crofoot_multiplier(space, w)
-        images = [j * e for e in space.basis]
-        gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
-        crofoot_res = max(crofoot_res, float(np.linalg.norm(gram - np.eye(d))))
+        crofoot_res = max(crofoot_res, crofoot_gram_defect(space, j))
         for lam in random_disk_points(rng, 10):
             pair = reproducing_kernels(space, lam)
             for f in space.basis:
@@ -254,12 +260,7 @@ def _suite_operators(seed: int) -> SuiteReport:
         space = build_space(b)
         c = conjugation_matrix(space)
         a = tto_matrix(space, space, random_rational(rng))
-        lhs = c.J @ np.conj(a.entries) @ np.linalg.inv(c.J)
-        csym = max(
-            csym,
-            float(np.linalg.norm(lhs - a.entries.conj().T))
-            / (1.0 + float(np.linalg.norm(a.entries))),
-        )
+        csym = max(csym, selfadjoint_residual(a, c))
     for _ in range(5):
         b = random_blaschke(rng, degree=2)
         big = BlaschkeProduct(b.zeros + (0.0,), b.constant)

@@ -7,7 +7,6 @@ from mst.blaschke import (
     BlaschkeProduct,
     blaschke_gcd,
     blaschke_quotient,
-    boundary_spectrum,
     frostman_shift,
     generalized_frostman_shift,
     monomial_factorization,
@@ -205,8 +204,3 @@ class TestGcd:
                 assert q.degree == b.degree - 2
                 assert all(abs(z) < 1.0 for z in q.zeros)
 
-
-def test_boundary_spectrum_empty():
-    assert boundary_spectrum(BlaschkeProduct((0.0, 0.0, 0.0))) == frozenset()
-    assert boundary_spectrum(BlaschkeProduct((0.5, 1 / 3))) == frozenset()
-    assert boundary_spectrum(BlaschkeProduct(())) == frozenset()

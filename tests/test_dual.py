@@ -6,17 +6,20 @@ import pytest
 from mst.blaschke import BlaschkeProduct, to_rational
 from mst.dual import (
     ComplementElement,
+    _random_probe,
     dual_apply,
     dual_equivalence,
     dual_kernel,
     hankel_rank,
 )
-from mst.modelspace import ModelSpace
+from mst.modelspace import ModelSpace, multiplier_between
 from mst.rational import (
     ComplexPoly,
     RationalFn,
+    circle_conjugate,
     norm2,
     sup_on_circle,
+    unit_circle_samples,
 )
 from mst.sampling import random_blaschke, random_rational
 
@@ -190,6 +193,34 @@ class TestDualEquivalence:
             gamma = random_blaschke(rng, degree=d2)
             res = dual_equivalence(theta, alpha, eta, gamma, random_rational(rng))
             assert res < 1e-8
+
+    def test_matches_public_dual_apply_chain(self):
+        # reference: the same chain through the validated public dual_apply,
+        # on the same probe draws; the residual must agree exactly
+        rng = np.random.default_rng(29)
+        zs = unit_circle_samples(32)
+        for _ in range(3):
+            d1 = int(rng.integers(1, 4))
+            d2 = int(rng.integers(1, 4))
+            theta, eta = random_blaschke(rng, degree=d1), random_blaschke(rng, degree=d1)
+            alpha, gamma = random_blaschke(rng, degree=d2), random_blaschke(rng, degree=d2)
+            symbol = random_rational(rng)
+            probes, seed = 3, int(rng.integers(2**31))
+            a1 = multiplier_between(ModelSpace(eta), ModelSpace(theta))
+            a2 = multiplier_between(ModelSpace(gamma), ModelSpace(alpha))
+            a1_bar = circle_conjugate(a1)
+            tilde = a2.inverse() * symbol * a1_bar.inverse()
+            draws = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(probes):
+                probe = _random_probe(theta, draws)
+                lhs = dual_apply(theta, alpha, symbol, probe)
+                step1 = dual_apply(theta, eta, a1_bar, probe)
+                step2 = dual_apply(eta, gamma, tilde, step1)
+                step3 = dual_apply(gamma, alpha, a2, step2)
+                worst = max(worst, float(np.max(np.abs(lhs(zs) - step3(zs)))))
+            res = dual_equivalence(theta, alpha, eta, gamma, symbol, probes=probes, seed=seed)
+            assert res == worst
 
     def test_negative_control(self):
         bad = RationalFn.monomial(1) + RationalFn(ComplexPoly([0.1]))

@@ -151,6 +151,24 @@ class TestEquivalenceTransform:
             assert res.residual < 1e-9
             assert res.cond_E < 1e8 and res.cond_F < 1e8
 
+    def test_F_equals_checked_multiplication_matrix(self):
+        # F is the compression of 1/a1 built without a range check; it must
+        # equal the checked multiplication matrix and the column-by-column
+        # coordinates of 1/a1 times each basis element, bit for bit
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            d1 = int(rng.integers(1, 5))
+            d2 = int(rng.integers(1, 5))
+            theta, eta = random_blaschke(rng, degree=d1), random_blaschke(rng, degree=d1)
+            alpha, gamma = random_blaschke(rng, degree=d2), random_blaschke(rng, degree=d2)
+            res = equivalence_transform(theta, alpha, eta, gamma, random_rational(rng))
+            k_theta, k_eta = build_space(theta), build_space(eta)
+            a1_inv = multiplier_between(k_eta, k_theta).inverse()
+            checked = multiplication_matrix(k_theta, k_eta, a1_inv)
+            columns = np.column_stack([k_eta.coordinates(a1_inv * e) for e in k_theta.basis])
+            assert np.array_equal(res.F.entries, checked.entries)
+            assert np.array_equal(res.F.entries, columns)
+
     def test_kernel_transport(self):
         # symbols built as conj(a)^-1 z^k a^-1 have known kernel on monomials
         rng = np.random.default_rng(9)
