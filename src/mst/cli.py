@@ -18,12 +18,12 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .dual import FormulaMismatch, dual_kernel
-from .modelspace import ModelSpace, NoMultiplierError, crofoot_gram_defect, crofoot_multiplier
+from .modelspace import ModelSpace, NoMultiplierError, crofoot_defect_matrix, crofoot_multiplier
 from .operators import (
     NotEquivalentError,
+    _entries_vanish,
     conjugation_matrix,
     equivalence_transform,
-    is_zero_symbol,
     rank_equivalence,
     selfadjoint_residual,
     tto_matrix,
@@ -374,10 +374,11 @@ def _cmd_crofoot(args):
     space = _as_space(args.space)
     w = _parse_complex(args.w)
     j, target = crofoot_multiplier(space, w)
-    gram_residual = crofoot_gram_defect(space, j)
-    vanishes = is_zero_symbol(
-        space, space, RationalFn.one() - j * circle_conjugate(j), tol=1e-10
-    )
+    # the Gram defect is minus the compression of 1 - |J|^2, so one matrix
+    # gives both the residual and the zero-symbol verdict
+    defect = crofoot_defect_matrix(space, j)
+    gram_residual = float(np.linalg.norm(defect))
+    vanishes = _entries_vanish(defect, RationalFn.one() - j * circle_conjugate(j), 1e-10)
     payload = {
         "multiplier": rational_to_json(j),
         "target": blaschke_to_json(target.inner),

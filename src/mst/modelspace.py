@@ -33,6 +33,7 @@ __all__ = [
     "reproducing_kernels",
     "multiplier_between",
     "crofoot_multiplier",
+    "crofoot_defect_matrix",
     "crofoot_gram_defect",
     "crofoot_isometry_check",
 ]
@@ -90,6 +91,19 @@ class ModelSpace:
             tm_nums[k] * cofactors[k] for k in range(n)
         )
 
+    def basis_samples(self, z) -> np.ndarray:
+        """Basis values at the points ``z``, one row per element, by the
+        product recurrence ``e_k = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) *
+        prod_{j<k} b_{a_j}(z)`` rather than the coefficient polynomials."""
+        z = np.asarray(z, dtype=complex)
+        out = np.empty((self.dim, z.size), dtype=complex)
+        tail = np.ones(z.size, dtype=complex)
+        for k, a in enumerate(self.inner.zeros):
+            outer = 1.0 - np.conj(a) * z
+            out[k] = np.sqrt(1.0 - abs(a) ** 2) / outer * tail
+            tail = tail * (z - a) / outer
+        return out
+
     def coordinates(self, f: RationalFn) -> np.ndarray:
         """Pairings of ``f`` against the basis (the coordinates of ``P f``)."""
         return np.array([_pair_with_conjugate(f, eb) for eb in self._conj_basis])
@@ -109,9 +123,15 @@ class ModelSpace:
     def complement_project(self, f: RationalFn) -> RationalFn:
         return f - self.project(f)
 
+    def _coordinates_and_residual(self, f: RationalFn):
+        """``coordinates(f)`` and ``membership_residual(f)`` from one set of
+        pairings."""
+        coords = self.coordinates(f)
+        return coords, norm2(f - self.from_coordinates(coords)) / (1.0 + norm2(f))
+
     def membership_residual(self, f: RationalFn) -> float:
         """Relative distance from ``f`` to the space."""
-        return norm2(f - self.project(f)) / (1.0 + norm2(f))
+        return self._coordinates_and_residual(f)[1]
 
     def contains(self, f: RationalFn, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(f) < tol
@@ -195,13 +215,20 @@ def crofoot_multiplier(space: ModelSpace, w: complex):
     return j, target
 
 
-def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
-    """Frobenius distance of the Gram matrix of ``j * e_k`` from the
-    identity; zero exactly when multiplication by ``j`` is isometric on
-    the space."""
+def crofoot_defect_matrix(space: ModelSpace, j: RationalFn) -> np.ndarray:
+    """``G - I`` for the Gram matrix ``G`` of ``j * e_k``: minus the
+    compression of ``1 - |j|^2``, zero exactly when multiplication by ``j``
+    is isometric on the space.  Unlike the exact compression of that
+    degree-doubled symbol, it keeps its digits when the poles of ``j`` come
+    near the circle."""
     images = [j * e for e in space.basis]
     gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
-    return float(np.linalg.norm(gram - np.eye(space.dim)))
+    return gram - np.eye(space.dim)
+
+
+def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
+    """Frobenius norm of :func:`crofoot_defect_matrix`."""
+    return float(np.linalg.norm(crofoot_defect_matrix(space, j)))
 
 
 def crofoot_isometry_check(

@@ -98,14 +98,17 @@ def multiplication_matrix(
     domain: ModelSpace, codomain: ModelSpace, a: RationalFn, tol: float = 1e-9
 ) -> OperatorMatrix:
     """Exact matrix of ``f -> a f`` when ``a`` maps the domain into the
-    codomain; rejects symbols that leak outside."""
+    codomain; rejects symbols that leak outside.  Each column is the
+    coordinate vector of ``a * e_j``, the same pairings as ``tto_matrix``,
+    and its range residual comes from the same pairings."""
+    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
     for j, e in enumerate(domain.basis):
-        residual = codomain.membership_residual(a * e)
+        entries[:, j], residual = codomain._coordinates_and_residual(a * e)
         if residual >= tol:
             raise MultiplierRangeViolation(
                 f"a * (basis element {j}) leaves the codomain (residual {residual:.3e})"
             )
-    return tto_matrix(domain, codomain, a)
+    return OperatorMatrix(entries, domain, codomain)
 
 
 def is_zero_symbol(
@@ -116,11 +119,15 @@ def is_zero_symbol(
     For rational symbols this decides membership in the sum of the
     conjugate-shifted Hardy spaces attached to the two inner functions.
     """
-    matrix = tto_matrix(domain, codomain, symbol)
-    if matrix.entries.size == 0:
+    return _entries_vanish(tto_matrix(domain, codomain, symbol).entries, symbol, tol)
+
+
+def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool:
+    """The zero-symbol verdict on the compressed entries of ``symbol``."""
+    if entries.size == 0:
         return True
     bound = tol * (1.0 + sup_on_circle(symbol, 32))
-    return float(np.max(np.abs(matrix.entries))) < bound
+    return float(np.max(np.abs(entries))) < bound
 
 
 @dataclass

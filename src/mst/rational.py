@@ -20,6 +20,9 @@ Conventions
   cancellation).  Classifying denominator roots as inside/outside never
   needs clustering because constructors enforce a guard band of width
   ``POLE_TOL`` around the circle.
+* The polynomial kernels run the floating-point operations of the numpy
+  routines they replace, in the same order, without the per-call wrapper
+  work, so every result is bit-for-bit numpy's.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "norm2",
     "equality_residual",
     "unit_circle_samples",
+    "circle_node_count",
     "sup_on_circle",
 ]
 
@@ -71,13 +75,39 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size == 0:
         return c
-    scale = float(np.max(np.abs(c)))
+    mags = np.abs(c)
+    scale = float(mags.max())
     if scale == 0.0:
         return c[:0]
-    keep = np.nonzero(np.abs(c) > _TRIM * max(1.0, scale))[0]
+    keep = (mags > _TRIM * max(1.0, scale)).nonzero()[0]
     if keep.size == 0:
         return c[:0]
     return c[: keep[-1] + 1]
+
+
+def _horner(coeffs: list, x):
+    """``npp.polyval(x, coeffs)`` for a scalar ``x`` and a list of Python
+    numbers, in polyval's exact order (scalar arithmetic only: numpy's
+    vectorized complex multiply rounds differently)."""
+    acc = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * x
+    return acc
+
+
+def _poly_from_roots(roots: np.ndarray) -> np.ndarray:
+    """``npp.polyfromroots(roots)``: linear factors of the sorted roots
+    multiplied pairwise, in the same order, by ``np.convolve``."""
+    p = list(np.stack([-np.sort(roots), np.ones(len(roots), dtype=complex)], axis=1))
+    n = len(p)
+    while n > 1:
+        m, r = divmod(n, 2)
+        tmp = [np.convolve(p[i], p[i + m]) for i in range(m)]
+        if r:
+            tmp[0] = np.convolve(tmp[0], p[-1])
+        p = tmp
+        n = m
+    return p[0]
 
 
 class ComplexPoly:
@@ -93,7 +123,7 @@ class ComplexPoly:
         if isinstance(coeffs, ComplexPoly):
             c = coeffs.coeffs.copy()
         else:
-            c = _trim(np.atleast_1d(np.asarray(coeffs, dtype=complex)))
+            c = _trim(coeffs)
         c.setflags(write=False)
         self.coeffs = c
 
@@ -102,7 +132,7 @@ class ComplexPoly:
         roots = np.asarray(roots, dtype=complex).ravel()
         if roots.size == 0:
             return cls([lead])
-        return cls(lead * npp.polyfromroots(roots))
+        return cls(lead * _poly_from_roots(roots))
 
     @classmethod
     def monomial(cls, n: int, coeff: complex = 1.0) -> "ComplexPoly":
@@ -130,9 +160,20 @@ class ComplexPoly:
         return npp.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def roots(self) -> np.ndarray:
+        """``np.roots``: eigenvalues of the same companion matrix."""
         if self.degree < 1:
             return np.zeros(0, dtype=complex)
-        return np.roots(self.coeffs[::-1])
+        low = int(np.flatnonzero(self.coeffs)[0])  # exact roots at the origin
+        p = self.coeffs[low:][::-1]
+        if len(p) > 1:
+            companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+            companion[0, :] = -p[1:] / p[0]
+            found = np.linalg.eigvals(companion)
+        else:
+            found = np.array([])
+        if low:
+            found = np.concatenate((found, np.zeros(low, found.dtype)))
+        return found
 
     def scaled(self, factor: complex) -> "ComplexPoly":
         if self.is_zero:
@@ -154,7 +195,13 @@ class ComplexPoly:
             return o
         if o.is_zero:
             return self
-        return ComplexPoly(npp.polyadd(self.coeffs, o.coeffs))
+        # polyadd's order: add the shorter into a copy of the longer
+        a, b = self.coeffs, o.coeffs
+        if len(a) <= len(b):
+            a, b = b, a
+        total = a.copy()
+        total[: len(b)] += b
+        return ComplexPoly(total)
 
     __radd__ = __add__
 
@@ -176,7 +223,7 @@ class ComplexPoly:
             return o
         if self.is_zero or o.is_zero:
             return ComplexPoly()
-        return ComplexPoly(npp.polymul(self.coeffs, o.coeffs))
+        return ComplexPoly(np.convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -202,8 +249,8 @@ def _valuation(p: ComplexPoly) -> int:
     c = p.coeffs
     if c.size == 0:
         return 0
-    scale = max(1.0, float(np.max(np.abs(c))))
-    significant = np.nonzero(np.abs(c) > _TRIM * scale)[0]
+    mags = np.abs(c)
+    significant = (mags > _TRIM * max(1.0, float(mags.max()))).nonzero()[0]
     return int(significant[0]) if significant.size else 0
 
 
@@ -270,16 +317,23 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
     nc = n_rest.coeffs.copy()
     cancelled = False
     remaining = []
+    coeffs = None  # nc, its derivative and |nc| as lists, for _horner
     for r in droots:
         if len(nc) <= 1:
             remaining.append(r)
             continue
-        val = abs(npp.polyval(r, nc))
-        dval = abs(npp.polyval(r, npp.polyder(nc)))
-        local = float(npp.polyval(abs(r), np.abs(nc)))
+        if coeffs is None:
+            coeffs = nc.tolist()
+            slopes = (nc[1:] * np.arange(1, len(nc))).tolist()  # npp.polyder's products
+            mags = np.abs(nc).tolist()
+        x = complex(r)
+        val = abs(_horner(coeffs, x))
+        dval = abs(_horner(slopes, x))
+        local = _horner(mags, abs(x))
         if val <= CLUSTER_TOL * dval or val <= 1e-13 * local:
             nc = _deflate(nc, r)
             cancelled = True
+            coeffs = None
         else:
             remaining.append(r)
     if cancelled:
@@ -605,6 +659,29 @@ def norm2(f: RationalFn) -> float:
 
 def unit_circle_samples(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
+
+
+#: largest grid that :func:`circle_node_count` hands out
+MAX_CIRCLE_NODES = 2**16
+
+
+def circle_node_count(points) -> int:
+    """Smallest power of two ``>= max(64, 60 / ln(rho))``, with ``rho`` the
+    smallest ``max(|p|, 1/|p|)`` over the singular points: the trapezoidal
+    rule on ``M`` nodes errs by ``O(rho**-M)`` (Trefethen & Weideman, SIAM
+    Review 2014).  Raises :class:`CirclePoleError` above ``MAX_CIRCLE_NODES``.
+    """
+    mods = np.abs(np.asarray(points, dtype=complex).ravel())
+    mods = mods[mods > 0.0]
+    need = 64.0
+    if mods.size:
+        log_rho = float(np.min(np.abs(np.log(mods))))
+        need = max(need, 60.0 / log_rho) if log_rho > 0.0 else np.inf
+    if need > MAX_CIRCLE_NODES:
+        raise CirclePoleError(
+            f"a singularity lies too close to the unit circle for {MAX_CIRCLE_NODES} nodes"
+        )
+    return 1 << int(np.ceil(np.log2(need)))
 
 
 def sup_on_circle(f: RationalFn, m: int = 256) -> float:

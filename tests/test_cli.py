@@ -131,6 +131,45 @@ class TestCommands:
         assert doc["gram_residual"] < 1e-9
         assert doc["zero_symbol_check"] is True
 
+    # zeros and w out to radius 0.8 (the first is op 627 of the cli_readme
+    # benchmark at seed 1, the others default_rng([7, k]) draws), where the poles of J come within 1.02 to
+    # 1.10 of the circle and the degree-doubled symbol 1 - |J|^2 loses digits
+    # in the residue path; the Gram matrix of J e_k keeps them
+    NEAR_CIRCLE_CROFOOT = [
+        ([(0.45102275163431893, 0.2106271137393867), (0.3223766381965317, 0.22315985542638478),
+          (0.27654050619190196, -0.16845987895451833), (0.35319568669436435, 0.21301731023810785),
+          (0.21090153018123692, -0.36195877524440323), (0.39263457684132885, 0.1838372529089742)],
+         "-0.1683519695451475+0.25790913387951353i"),
+        ([(0.37345106865728683, -0.5788984871258465), (0.5189111696453753, -0.14378965669398658),
+          (0.5831432497602876, 0.2133786291623019), (-0.2447927676647101, 0.5350544978837432),
+          (0.5916060473353959, 0.4744253229865291), (0.2758987049470694, -0.18200248241796338)],
+         "0.4990098503332005+0.4545312513666654i"),
+        ([(0.02104186806528592, -0.5797701312087806), (-0.020859741533163924, -0.7669439775912328),
+          (-0.5277467236496132, -0.28396212179886443)],
+         "-0.26174506269442316+0.5512761458073135i"),
+        ([(-0.4679570926151815, 0.4884715033438108), (-0.5249900255631229, -0.09571380918436241),
+          (-0.3438354432377063, 0.29576007955742395), (-0.5083631066948985, 0.1414130076712961)],
+         "0.21028261860804726+0.48453081494737105i"),
+        ([(-0.4466277658340405, 0.14792962717740085), (0.03945259444504524, 0.759201776246922),
+          (0.38515596742814995, 0.5924131652077114), (0.7553884792275464, 0.0809875349553729),
+          (-0.06809086113268496, 0.6018077206090371)],
+         "-0.4445281684395771-0.5094722080384135i"),
+        ([(-0.12949768130000544, -0.774514023926834), (0.18270532559445224, -0.7200427720656116),
+          (0.2637099700932598, 0.0026754882916270465), (0.6737684319049754, 0.1747824851306423),
+          (-0.07098148881959315, 0.7130375234126757), (0.1452799028206619, -0.5675651349533932)],
+         "-0.2506797065322011-0.716355918877827i"),
+    ]
+
+    @pytest.mark.parametrize(
+        "zeros, w", NEAR_CIRCLE_CROFOOT, ids=["op627", "k17", "k20", "k39", "k46", "k65"]
+    )
+    def test_crofoot_near_circle_poles(self, capsys, zeros, w):
+        space = json.dumps({"zeros": [list(z) for z in zeros], "constant": [1.0, 0.0]})
+        code = run_command(["crofoot", "--space", space, "--w=" + w])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["zero_symbol_check"] is True
+        assert code == 0
+
     def test_conjugation_check(self, capsys):
         code = run_command(
             ["conjugation-check", "--space", "blaschke(0.5,0.3333333333)", "--symbol", "(z^2+1)/z"]

@@ -22,6 +22,7 @@ from mst.rational import (
     unit_circle_samples,
 )
 from mst.sampling import random_blaschke, random_rational
+from mst.verify import run_suite
 
 THIRD = 1.0 / 3.0
 Z2 = BlaschkeProduct((0.0, 0.0))
@@ -194,9 +195,10 @@ class TestDualEquivalence:
             res = dual_equivalence(theta, alpha, eta, gamma, random_rational(rng))
             assert res < 1e-8
 
-    def test_matches_public_dual_apply_chain(self):
+    def test_public_dual_apply_chain_is_reference(self):
         # reference: the same chain through the validated public dual_apply,
-        # on the same probe draws; the residual must agree exactly
+        # exact at every step, on the same probe draws; both residuals vanish
+        # and the sampled one keeps more digits
         rng = np.random.default_rng(29)
         zs = unit_circle_samples(32)
         for _ in range(3):
@@ -219,8 +221,38 @@ class TestDualEquivalence:
                 step2 = dual_apply(eta, gamma, tilde, step1)
                 step3 = dual_apply(gamma, alpha, a2, step2)
                 worst = max(worst, float(np.max(np.abs(lhs(zs) - step3(zs)))))
+            assert worst < 1e-8
             res = dual_equivalence(theta, alpha, eta, gamma, symbol, probes=probes, seed=seed)
-            assert res == worst
+            assert res < 1e-12
+
+    def test_exact_chain_defect_instances(self):
+        # op 574 of the transport_small benchmark at seed 2: the exact chain
+        # read 6.5e-5 as its denominators grew to degree 17
+        theta = BlaschkeProduct((
+            -0.6277735223846307 - 0.3212011843596469j, -0.4591621068297577 - 0.5982034106624184j,
+            -0.31247372426348075 - 0.06815761170392394j, -0.3849020072305091 - 0.27939964676296813j,
+        ))
+        alpha = BlaschkeProduct((
+            -0.6651008653293994 - 0.3193002995689899j, 0.035952780266209634 - 0.4291210691721854j,
+        ))
+        eta = BlaschkeProduct((
+            0.3970016906212271 + 0.08765973305479287j, -0.17775363608164546 - 0.2205932037837555j,
+            0.7122064284402614 + 0.09818503150219393j, -0.47033773603642887 + 0.2653269106021893j,
+        ))
+        gamma = BlaschkeProduct((
+            -0.7599763500137154 + 0.002970477198066927j, 0.665099613377454 + 0.06064930197033075j,
+        ))
+        num = [0.010857512219986676 + 0.31383059209708536j, 0.7481881302248697 + 0.149054715134266j,
+               -0.09581932734072378 + 0.12052856838349729j]
+        poles = [0.05840413113797518 + 0.31167728709907605j, -1.8795119244945089 + 0.5948674228187133j]
+        symbol = RationalFn(ComplexPoly(num), ComplexPoly.from_roots(poles))
+        res = dual_equivalence(theta, alpha, eta, gamma, symbol, probes=2, seed=1671074427)
+        assert res < 1e-12
+        # the three chains of the dual suite at seed 3027; the exact chain
+        # read 1.43e-8 against the suite's 1e-8
+        check = {c.name: c for c in run_suite("dual", 3027).checks}
+        assert check["dual transport residual"].residual < 1e-12
+        assert check["dual transport negative control"].passed
 
     def test_negative_control(self):
         bad = RationalFn.monomial(1) + RationalFn(ComplexPoly([0.1]))

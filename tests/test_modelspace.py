@@ -7,11 +7,14 @@ from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
     NoMultiplierError,
     build_space,
+    crofoot_defect_matrix,
+    crofoot_gram_defect,
     crofoot_isometry_check,
     crofoot_multiplier,
     multiplier_between,
     reproducing_kernels,
 )
+from mst.operators import tto_matrix
 from mst.rational import (
     ComplexPoly,
     RationalFn,
@@ -19,6 +22,7 @@ from mst.rational import (
     inner_product,
     norm2,
     riesz_project,
+    unit_circle_samples,
 )
 from mst.sampling import random_blaschke, random_disk_points, random_rational
 
@@ -56,6 +60,17 @@ class TestBasis:
             space = build_space(random_blaschke(rng, max_degree=5))
             g = space.gram()
             assert np.linalg.norm(g - np.eye(space.dim)) < 1e-10
+
+    def test_basis_samples_match_basis(self):
+        rng = np.random.default_rng(31)
+        z = unit_circle_samples(64)
+        for degree in (1, 3, 6):
+            space = build_space(random_blaschke(rng, degree=degree))
+            samples = space.basis_samples(z)
+            assert samples.shape == (degree, 64)
+            for row, e in zip(samples, space.basis):
+                assert np.max(np.abs(row - e(z))) < 1e-13
+        assert build_space(BlaschkeProduct(())).basis_samples(z).shape == (0, 64)
 
     def test_basis_elements_analytic_and_inside(self):
         rng = np.random.default_rng(29)
@@ -242,6 +257,18 @@ class TestCrofoot:
     def test_parameter_outside_disk(self):
         with pytest.raises(ValueError):
             crofoot_multiplier(build_space(Z2), 1.2)
+
+    def test_defect_matrix_is_minus_the_compression(self):
+        # G - I = -(compression of 1 - |J|^2), away from the circle where
+        # the residue path still resolves the degree-doubled symbol
+        rng = np.random.default_rng(59)
+        for degree in (1, 2, 4):
+            space = build_space(random_blaschke(rng, degree=degree))
+            j, _ = crofoot_multiplier(space, 0.3 - 0.2j)
+            defect = crofoot_defect_matrix(space, j)
+            symbol = ONE - j * circle_conjugate(j)
+            assert np.max(np.abs(defect + tto_matrix(space, space, symbol).entries)) < 1e-12
+            assert crofoot_gram_defect(space, j) == float(np.linalg.norm(defect))
 
 
 class TestCrofootIsometryCheck:

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from mst.rational import (
+    MAX_CIRCLE_NODES,
+    _horner,
+    _poly_from_roots,
     fourier_block,
     CirclePoleError,
     ComplexPoly,
     RationalFn,
     circle_conjugate,
+    circle_node_count,
     equality_residual,
     fourier_coefficient,
     inner_product,
@@ -189,3 +194,80 @@ class TestFourierCoefficients:
 
     def test_norm(self):
         assert abs(norm2(ONE + Z) - np.sqrt(2.0)) < 1e-12
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(float), b.view(float)
+    )
+
+
+def random_coeffs(rng, degree):
+    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    return c * 10.0 ** rng.uniform(-4, 4, degree + 1)
+
+
+class TestNumpyKernelParity:
+    """The kernels promise numpy's exact operations; a numpy release that
+    changes its algorithms fails here instead of shifting outputs."""
+
+    def test_horner_matches_polyval(self):
+        rng = np.random.default_rng(101)
+        for degree in list(range(0, 8)) + [15, 31]:
+            for _ in range(40):
+                c = random_coeffs(rng, degree)
+                x = complex(rng.standard_normal(), rng.standard_normal())
+                assert same_bits(_horner(c.tolist(), x), npp.polyval(np.complex128(x), c))
+                mags, r = np.abs(c), abs(x)
+                assert same_bits(_horner(mags.tolist(), r), npp.polyval(np.float64(r), mags))
+
+    def test_derivative_matches_polyder(self):
+        rng = np.random.default_rng(102)
+        for degree in range(1, 12):
+            c = random_coeffs(rng, degree)
+            assert same_bits(c[1:] * np.arange(1, len(c)), npp.polyder(c))
+
+    def test_roots_match_np_roots(self):
+        rng = np.random.default_rng(103)
+        cases = [random_coeffs(rng, d) for d in (1, 2, 3, 7, 16)]
+        cases += [np.array([0.0, 0.0, 2.0 - 1j, 1.0]), np.array([0.0, 0.5j])]
+        cases += [np.array([0.0, 0.0, 0.0, 3.0 + 0j])]  # c z^3: three exact zeros
+        for c in cases:
+            p = ComplexPoly(c)
+            assert p.degree == len(c) - 1
+            assert same_bits(p.roots(), np.roots(c[::-1]))
+
+    def test_from_roots_matches_polyfromroots(self):
+        rng = np.random.default_rng(104)
+        cases = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (1, 2, 3, 5, 8, 17)]
+        cases += [np.array([0.5, 0.5, 0.5 + 0j]), np.array([0.0, 0.3j, 0.0, -0.2 + 0j])]
+        for r in cases:
+            assert same_bits(_poly_from_roots(r), npp.polyfromroots(r))
+            for lead in (1.0, 0.5 - 2j):
+                expected = ComplexPoly(lead * npp.polyfromroots(r))
+                assert same_bits(ComplexPoly.from_roots(r, lead).coeffs, expected.coeffs)
+        assert same_bits(ComplexPoly.from_roots([]).coeffs, np.array([1.0 + 0j]))
+
+    def test_product_and_sum_match_polymul_polyadd(self):
+        rng = np.random.default_rng(105)
+        for da, db in [(0, 0), (0, 3), (2, 2), (5, 1), (1, 9), (12, 12)]:
+            a = ComplexPoly(random_coeffs(rng, da))
+            b = ComplexPoly(random_coeffs(rng, db))
+            for x, y in ((a, b), (b, a)):
+                assert same_bits((x * y).coeffs, ComplexPoly(npp.polymul(x.coeffs, y.coeffs)).coeffs)
+                assert same_bits((x + y).coeffs, ComplexPoly(npp.polyadd(x.coeffs, y.coeffs)).coeffs)
+
+
+class TestCircleNodeCount:
+    def test_floor_and_power_of_two(self):
+        assert circle_node_count([]) == 64
+        assert circle_node_count([0.0, 0.1]) == 64
+        # 60 / ln(1.25) = 268.9 rounds up to 512, from either side of the circle
+        assert circle_node_count([0.8]) == 512
+        assert circle_node_count([1.25j, 0.3]) == 512
+
+    def test_cap(self):
+        assert circle_node_count([0.999]) <= MAX_CIRCLE_NODES
+        with pytest.raises(CirclePoleError):
+            circle_node_count([0.5, 1.0 + 1e-4])
