@@ -9,6 +9,7 @@ then the ``MST_TOL`` environment variable, then per-command defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -481,7 +482,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mst`` argument parser, built once per process and reused (a
+    parse keeps no state on the parser)."""
     parser = argparse.ArgumentParser(
         prog="mst",
         description="Model-space toolkit: assemble operator matrices, run "

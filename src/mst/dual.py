@@ -78,6 +78,16 @@ class ComplementElement:
         if norm2(space.project(self.analytic)) > MEMBER_TOL * (1.0 + norm2(self.analytic)):
             raise ValueError("analytic part is not orthogonal to the model space")
 
+    @classmethod
+    def _trusted(cls, theta, analytic, antianalytic) -> "ComplementElement":
+        """An element whose split the caller built as a complement member
+        by construction, so the validation is skipped."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "theta", theta)
+        object.__setattr__(element, "analytic", analytic)
+        object.__setattr__(element, "antianalytic", antianalytic)
+        return element
+
     def total(self) -> RationalFn:
         return self.analytic + self.antianalytic
 
@@ -102,12 +112,14 @@ def dual_apply(
     """Apply the complement compression of ``symbol`` to ``f``.
 
     Multiplies, removes the model-space component of the target, and splits
-    the remainder back into its analytic and anti-analytic halves.
+    the remainder back into its analytic and anti-analytic halves.  The
+    remainder is orthogonal to the alpha-space, so its halves form a
+    complement element by construction and are not re-validated.
     """
     if not f.theta.same_space(theta):
         raise ValueError("element does not live on the stated complement")
     split = _compress(ModelSpace(alpha), symbol, f.total())
-    return ComplementElement(alpha, split.analytic, split.antianalytic)
+    return ComplementElement._trusted(alpha, split.analytic, split.antianalytic)
 
 
 @dataclass(frozen=True)
@@ -173,14 +185,15 @@ def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
 
 def _random_probe(theta: BlaschkeProduct, rng) -> ComplementElement:
     """Random normalized element of the complement: an analytic multiple of
-    the inner function plus a short anti-analytic tail."""
+    the inner function plus a short anti-analytic tail, a complement member
+    by construction."""
     theta_rat = to_rational(theta)
     ana_coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     analytic = theta_rat * RationalFn(ComplexPoly(ana_coeffs))
     anti_coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     antianalytic = RationalFn(ComplexPoly(anti_coeffs), ComplexPoly.monomial(3))
     scale = 1.0 / max(norm2(analytic) + norm2(antianalytic), 1e-12)
-    return ComplementElement(theta, scale * analytic, scale * antianalytic)
+    return ComplementElement._trusted(theta, scale * analytic, scale * antianalytic)
 
 
 def dual_equivalence(

@@ -56,6 +56,10 @@ class ModelSpace:
         Orthonormal Takenaka-Malmquist functions, one per zero.
     dim : int
         Degree of the inner function (0 gives the zero space).
+    L : ndarray, shape (dim, dim)
+        Column ``k`` holds the ascending coefficients of the numerator of
+        ``e_k`` over the full denominator ``prod (1 - conj(a_j) z)``, so
+        ``L`` changes from the basis to the monomials ``1, z, ...``.
     """
 
     def __init__(self, inner: BlaschkeProduct):
@@ -90,6 +94,9 @@ class ModelSpace:
         self._lifted_nums = tuple(
             tm_nums[k] * cofactors[k] for k in range(n)
         )
+        self.L = np.zeros((n, n), dtype=complex)
+        for k, lifted in enumerate(self._lifted_nums):
+            self.L[: lifted.coeffs.size, k] = lifted.coeffs
 
     def basis_samples(self, z) -> np.ndarray:
         """Basis values at the points ``z``, one row per element, by the
@@ -238,12 +245,13 @@ def crofoot_isometry_check(
     model space isometrically onto its image.
 
     The criterion is that the compression of ``1 - |J|^2`` to the model
-    space vanishes; the symbol is formed as an exact rational function and
-    tested entrywise.  Constant ``h`` with ``|k|^2 = 1 - |h|^2`` always
-    passes; whether any non-constant ``h`` admits a valid ``k`` is checked
-    per instance only, never answered in general.
+    space vanishes; it is read entrywise from :func:`crofoot_defect_matrix`
+    with the bound of ``operators.is_zero_symbol``.  Constant ``h`` with
+    ``|k|^2 = 1 - |h|^2`` always passes; whether any non-constant ``h``
+    admits a valid ``k`` is checked per instance only, never answered in
+    general.
     """
-    from .operators import is_zero_symbol  # deferred: avoids a module cycle
+    from .operators import _entries_vanish  # deferred: avoids a module cycle
 
     k = complex(k)
     if k == 0:
@@ -257,4 +265,4 @@ def crofoot_isometry_check(
     theta = space.rational
     j = k * (RationalFn.one() - h * theta).inverse()
     symbol = RationalFn.one() - j * circle_conjugate(j)
-    return is_zero_symbol(space, space, symbol, tol=tol)
+    return _entries_vanish(crofoot_defect_matrix(space, j), symbol, tol)

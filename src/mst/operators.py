@@ -68,10 +68,6 @@ class OperatorMatrix:
             raise ValueError("composition mismatch: inner spaces differ")
         return OperatorMatrix(self.entries @ other.entries, other.domain, self.codomain)
 
-    def apply(self, f: RationalFn) -> RationalFn:
-        coords = self.entries @ self.domain.coordinates(f)
-        return self.codomain.from_coordinates(coords)
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.entries))
 
@@ -164,18 +160,25 @@ def equivalence_transform(
     where ``F`` is multiplication by ``1/a1`` from the theta-space to the
     eta-space and ``E`` is the compression of ``1/conj(a2)`` from the
     gamma-space to the alpha-space.  Both factors are invertible; their
-    condition numbers are reported.  ``1/a1`` maps the theta-space onto the
-    eta-space by construction, so ``F`` is its compression without a
-    range check.
+    condition numbers are reported.
+
+    Both factors are closed-form changes of basis.  With ``a1 = D_eta /
+    D_theta`` (``D`` the full basis denominator of a space), ``e_k / a1`` is
+    the theta-space numerator ``L_theta[:, k]`` over ``D_eta``, so ``F``
+    solves ``L_eta F = L_theta`` (:attr:`ModelSpace.L`).  ``E`` pairs
+    ``e_j / conj(a2)`` against ``e_i``, which is the adjoint of
+    multiplication by ``1/a2`` from the alpha-space to the gamma-space:
+    ``E = solve(L_gamma, L_alpha)^H``.  Both compressions of the symbols stay
+    on the exact pairings, so ``residual`` checks the closed form
+    independently.
     """
     k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
     k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
     a1 = multiplier_between(k_eta, k_theta)
     a2 = multiplier_between(k_gamma, k_alpha)
-    a2_bar = circle_conjugate(a2)
-    tilde = a2_bar * symbol * a1
-    e_mat = tto_matrix(k_gamma, k_alpha, a2_bar.inverse())
-    f_mat = tto_matrix(k_theta, k_eta, a1.inverse())
+    tilde = circle_conjugate(a2) * symbol * a1
+    e_mat = OperatorMatrix(np.linalg.solve(k_gamma.L, k_alpha.L).conj().T, k_gamma, k_alpha)
+    f_mat = OperatorMatrix(np.linalg.solve(k_eta.L, k_theta.L), k_theta, k_eta)
     lhs = tto_matrix(k_theta, k_alpha, symbol)
     mid = tto_matrix(k_eta, k_gamma, tilde)
     rhs = e_mat @ mid @ f_mat
@@ -348,11 +351,19 @@ def kernel_and_range(a, rank_tol: float = RANK_TOL):
 
 
 def subspace_angle(vectors_a, vectors_b) -> float:
-    """Largest principal angle (radians) between the spans of two vector lists."""
+    """Largest principal angle (radians) between the spans of two vector lists.
+
+    Taken as ``arctan2(sine, cosine)`` with the sine ``||Q_u - Q_v Q_v^H
+    Q_u||_2`` and the cosine the smallest singular value of ``Q_u^H Q_v``
+    (Knyazev and Argentati, SIAM J. Sci. Comput. 2002): the cosine alone
+    cannot resolve angles below ``sqrt(2 eps)``, about 2e-8.
+    """
     u = np.column_stack([np.asarray(v, dtype=complex) for v in vectors_a])
     v = np.column_stack([np.asarray(w, dtype=complex) for w in vectors_b])
     qu, _ = np.linalg.qr(u)
     qv, _ = np.linalg.qr(v)
     s = np.linalg.svd(qu.conj().T @ qv, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(np.min(s))) if s.size else 0.0
+    if not s.size:
+        return 0.0
+    sine = np.linalg.norm(qu - qv @ (qv.conj().T @ qu), 2)
+    return float(np.arctan2(sine, np.min(s)))

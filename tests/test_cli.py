@@ -109,6 +109,31 @@ class TestCommands:
         # an absurdly tight tolerance flips the exit code to 2
         assert run_command(argv + ["--tol", "1e-30"]) == 2
 
+    def test_equiv_degree_six_ill_conditioned_factor(self, capsys):
+        # cli_readme seed 8 op 1128: cond_F is 9.4e3, and exact pairings of
+        # 1/a1 left the residual at 1.17e-9 against the default 1e-9
+        argv = [
+            "equiv",
+            "--theta", "blaschke(0.4553327887713775+0.11434538137758142i, "
+            "-0.4364496031017643-0.66258350545015i, 0.247714326576858-0.5965715373462553i, "
+            "0.48124801599157085+0.13245603777771803i, "
+            "0.24654266532727456-0.6737871719312363i, -0.2577566699065353-0.6079879021161753i)",
+            "--alpha", "blaschke(0.4553755304770746-0.4039283482444099i)",
+            "--eta", "blaschke(-0.07772792086178641+0.3151289627075909i, "
+            "0.13086782506558975+0.2927290768745655i, 0.12195216054239388+0.5292331190211738i, "
+            "0.3300101599488396+0.6522096358538243i, 0.07780714940035807+0.7314058632104451i, "
+            "-0.5642712097198027+0.18075860341529226i)",
+            "--gamma", "blaschke(-0.5276626492838514+0.39398402127655735i)",
+            "--symbol", "((0.36079580833993186-0.2766131880334484i)"
+            "+(-0.3567527914096566+0.006093189127128251i)z"
+            "+(-0.1424673943321247-0.06498279118100715i)z^2)"
+            "/((0.12788928104715813-0.707662013278721i)"
+            "+(-1.4361976585227985+1.2172977213901544i)z+(1.0+0.0i)z^2)",
+        ]
+        assert run_command(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residual"] < 1e-9
+
     def test_wh_inverse(self, capsys):
         code = run_command(
             ["wh-inverse", "--n", "2", "--symbol", "1 + 0.8333333333z", "--rhs", "1"]

@@ -277,6 +277,22 @@ class TestCrofootIsometryCheck:
         for b in (Z2, ALPHA, BlaschkeProduct((0.2j,))):
             assert crofoot_isometry_check(b, RationalFn(ComplexPoly([0.5])), k)
 
+    def test_constant_h_degree_five(self):
+        # third of 20 degree-5 spaces drawn by random_disk_points(rng, 5)
+        # from default_rng(5); the exact compression of the degree-doubled
+        # 1 - |J|^2 read it as non-isometric
+        b = BlaschkeProduct((
+            0.4084415877565136 - 0.43446171778443404j,
+            0.05919926231565472 + 0.4125826877615532j,
+            0.5941601700750202 - 0.45820349543709643j,
+            0.14079978403435933 - 0.145851502205771j,
+            0.6548424421808291 + 0.07653467875624134j,
+        ))
+        w = 0.7 - 0.3j
+        h = RationalFn(ComplexPoly([np.conj(w)]))
+        assert crofoot_isometry_check(b, h, np.sqrt(1.0 - abs(w) ** 2))
+        assert not crofoot_isometry_check(b, h, 1.0)
+
     def test_constant_h_with_wrong_k(self):
         assert not crofoot_isometry_check(Z2, RationalFn(ComplexPoly([0.5])), 1.0)
 

@@ -151,23 +151,67 @@ class TestEquivalenceTransform:
             assert res.residual < 1e-9
             assert res.cond_E < 1e8 and res.cond_F < 1e8
 
-    def test_F_equals_checked_multiplication_matrix(self):
-        # F is the compression of 1/a1 built without a range check; it must
-        # equal the checked multiplication matrix and the column-by-column
-        # coordinates of 1/a1 times each basis element, bit for bit
+    def test_factors_match_exact_pairings(self):
+        # E and F are closed-form changes of basis; the exact pairings of
+        # 1/a1 and 1/conj(a2) against the bases must give the same matrices
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            d1 = int(rng.integers(1, 5))
-            d2 = int(rng.integers(1, 5))
-            theta, eta = random_blaschke(rng, degree=d1), random_blaschke(rng, degree=d1)
-            alpha, gamma = random_blaschke(rng, degree=d2), random_blaschke(rng, degree=d2)
+        for d in range(1, 7):
+            for _ in range(2):
+                theta, eta = random_blaschke(rng, degree=d), random_blaschke(rng, degree=d)
+                alpha, gamma = random_blaschke(rng, degree=d), random_blaschke(rng, degree=d)
+                res = equivalence_transform(theta, alpha, eta, gamma, random_rational(rng))
+                k_theta, k_eta = build_space(theta), build_space(eta)
+                k_alpha, k_gamma = build_space(alpha), build_space(gamma)
+                a1 = multiplier_between(k_eta, k_theta)
+                a2 = multiplier_between(k_gamma, k_alpha)
+                f_exact = multiplication_matrix(k_theta, k_eta, a1.inverse()).entries
+                e_exact = tto_matrix(k_gamma, k_alpha, circle_conjugate(a2).inverse()).entries
+                for got, want in ((res.F.entries, f_exact), (res.E.entries, e_exact)):
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_factors_match_mpmath_quadrature(self):
+        # independent oracle: the defining pairings F_ij = <e_j / a1, e_i>
+        # and E_ij = <e_j / conj(a2), e_i> by the trapezoidal rule at 30
+        # digits; with zeros within radius 0.8 the 256-node rule is exact to
+        # about 0.8^256 = 1.5e-25
+        mpmath = pytest.importorskip("mpmath")
+
+        def basis(zeros, z):
+            values, tail = [], mpmath.mpc(1)
+            for a in map(mpmath.mpc, zeros):
+                outer = 1 - mpmath.conj(a) * z
+                values.append(mpmath.sqrt(1 - abs(a) ** 2) / outer * tail)
+                tail *= (z - a) / outer
+            return values
+
+        def den(zeros, z):
+            return mpmath.fprod(1 - mpmath.conj(mpmath.mpc(a)) * z for a in zeros)
+
+        def pairings(domain, codomain, weight):
+            out = mpmath.zeros(len(codomain.zeros), len(domain.zeros))
+            for k in range(256):
+                z = mpmath.expjpi(mpmath.mpf(2 * k) / 256)
+                w = weight(z)
+                for j, ej in enumerate(basis(domain.zeros, z)):
+                    for i, ei in enumerate(basis(codomain.zeros, z)):
+                        out[i, j] += ej * w * mpmath.conj(ei) / 256
+            return np.array(out.tolist(), dtype=complex)
+
+        rng = np.random.default_rng(29)
+        for d in (1, 2, 3):
+            theta, eta = random_blaschke(rng, degree=d), random_blaschke(rng, degree=d)
+            alpha, gamma = random_blaschke(rng, degree=d), random_blaschke(rng, degree=d)
             res = equivalence_transform(theta, alpha, eta, gamma, random_rational(rng))
-            k_theta, k_eta = build_space(theta), build_space(eta)
-            a1_inv = multiplier_between(k_eta, k_theta).inverse()
-            checked = multiplication_matrix(k_theta, k_eta, a1_inv)
-            columns = np.column_stack([k_eta.coordinates(a1_inv * e) for e in k_theta.basis])
-            assert np.array_equal(res.F.entries, checked.entries)
-            assert np.array_equal(res.F.entries, columns)
+            with mpmath.workdps(30):
+                f_ref = pairings(
+                    theta, eta, lambda z: den(theta.zeros, z) / den(eta.zeros, z)
+                )
+                e_ref = pairings(
+                    gamma, alpha,
+                    lambda z: mpmath.conj(den(alpha.zeros, z) / den(gamma.zeros, z)),
+                )
+            assert np.max(np.abs(res.F.entries - f_ref)) < 1e-14 * (1 + np.max(np.abs(f_ref)))
+            assert np.max(np.abs(res.E.entries - e_ref)) < 1e-14 * (1 + np.max(np.abs(e_ref)))
 
     def test_kernel_transport(self):
         # symbols built as conj(a)^-1 z^k a^-1 have known kernel on monomials
@@ -375,3 +419,13 @@ class TestKernelAndRange:
         with pytest.raises(ValueError):
             m1 @ m1  # inner spaces differ
         _ = m1 @ m2  # fine
+
+
+class TestSubspaceAngle:
+    @pytest.mark.parametrize("angle", [1e-12, 1e-9, 1.0399198, np.pi / 2])
+    def test_rotated_plane(self, angle):
+        # span{e1, e2} against span{e1, cos(t) e2 + sin(t) e3}; arccos of the
+        # cosine alone reads about 2e-8 for every t below that
+        a = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+        b = [np.array([1.0, 0.0, 0.0]), np.array([0.0, np.cos(angle), np.sin(angle)])]
+        assert abs(subspace_angle(a, b) - angle) <= 1e-14 * (1.0 + angle)
