@@ -10,6 +10,7 @@ from mst import (
     BlaschkeProduct,
     ComplementElement,
     ComplexPoly,
+    ModelSpace,
     RationalFn,
     dual_apply,
     dual_equivalence,
@@ -18,17 +19,18 @@ from mst import (
 )
 
 z2 = BlaschkeProduct((0.0, 0.0))
+k_z2 = ModelSpace(z2)
 
 # --- complement elements and the compression -----------------------------------
 f = ComplementElement(z2, RationalFn.zero(), RationalFn.monomial(-1))
-out = dual_apply(z2, z2, RationalFn.one(), f)
+out = dual_apply(k_z2, RationalFn.one(), f)
 print("identity symbol acts as the identity:",
       out.antianalytic.num.coeffs, "/", out.antianalytic.den.coeffs)
 
 # The symbol z^2 (z - 1) sends conj(z^2) into the model space, so the
 # compression annihilates it.
 phi = RationalFn.monomial(2) * RationalFn(ComplexPoly([-1.0, 1.0]))
-killed = dual_apply(z2, z2, phi, ComplementElement(z2, RationalFn.zero(), RationalFn.monomial(-2)))
+killed = dual_apply(k_z2, phi, ComplementElement(z2, RationalFn.zero(), RationalFn.monomial(-2)))
 print("kernel element maps to zero:", killed.analytic.is_zero and killed.antianalytic.is_zero)
 
 # --- the kernel dimension table -------------------------------------------------

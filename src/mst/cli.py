@@ -17,24 +17,31 @@ import sys
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, to_rational
 from .dual import FormulaMismatch, dual_kernel
-from .modelspace import ModelSpace, NoMultiplierError, crofoot_defect_matrix, crofoot_multiplier
+from .modelspace import (
+    ZERO_SYMBOL_TOL,
+    ModelSpace,
+    _entries_vanish,
+    crofoot_defect_matrix,
+    crofoot_multiplier,
+)
 from .operators import (
     NotEquivalentError,
-    _entries_vanish,
+    _relative_defect,
     conjugation_matrix,
     equivalence_transform,
     rank_equivalence,
     selfadjoint_residual,
     tto_matrix,
 )
-from .rational import CirclePoleError, ComplexPoly, RationalFn, circle_conjugate
+from .rational import ComplexPoly, RationalFn, circle_conjugate
 from .serialize import (
     SchemaError,
     blaschke_from_json,
     blaschke_to_json,
     complement_element_to_json,
+    complex_to_pair,
     factorization_to_json,
     format_complex,
     matrix_from_json,
@@ -135,11 +142,8 @@ def _parse_poly(text: str, offset: int = 0) -> ComplexPoly:
         if "z" in inner or _is_sum(inner):
             return _parse_poly(inner, offset + 1)
     coeffs: dict[int, complex] = {}
-    sign = 1.0
-    pos = 0
     # walk signed terms at the top level
     k = 0
-    current = []
     terms = []
     depth = 0
     term_start = 0
@@ -241,18 +245,16 @@ def parse_shorthand(s: str):
     return RationalFn(num, den)
 
 
-def _load_argument(value: str):
+def _read_argument(value: str) -> str:
+    """The argument text, read from the named file when it starts with ``@``."""
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
-            value = fh.read()
-    return parse_shorthand(value)
+            return fh.read()
+    return value
 
 
-def _as_space(value: str) -> ModelSpace:
-    obj = _load_argument(value)
-    if isinstance(obj, RationalFn):
-        raise ShorthandError("expected an inner function, got a rational symbol", 0)
-    return ModelSpace(obj)
+def _load_argument(value: str):
+    return parse_shorthand(_read_argument(value))
 
 
 def _as_blaschke(value: str) -> BlaschkeProduct:
@@ -265,17 +267,12 @@ def _as_blaschke(value: str) -> BlaschkeProduct:
 def _as_symbol(value: str) -> RationalFn:
     obj = _load_argument(value)
     if isinstance(obj, BlaschkeProduct):
-        from .blaschke import to_rational
-
         return to_rational(obj)
     return obj
 
 
 def _load_matrix(value: str):
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            value = fh.read()
-    return matrix_from_json(json.loads(value))
+    return matrix_from_json(json.loads(_read_argument(value)))
 
 
 def _tolerance(args, default: float) -> float:
@@ -294,8 +291,8 @@ def _tolerance(args, default: float) -> float:
 
 
 def _cmd_tto(args):
-    domain = _as_space(args.space)
-    codomain = _as_space(args.codomain) if args.codomain else domain
+    domain = ModelSpace(_as_blaschke(args.space))
+    codomain = ModelSpace(_as_blaschke(args.codomain)) if args.codomain else domain
     matrix = tto_matrix(domain, codomain, _as_symbol(args.symbol))
     return matrix_to_json(matrix), matrix_to_csv(matrix.entries), EXIT_OK
 
@@ -372,14 +369,16 @@ def _cmd_wh_inverse(args):
 
 def _cmd_crofoot(args):
     tol = _tolerance(args, 1e-9)
-    space = _as_space(args.space)
+    space = ModelSpace(_as_blaschke(args.space))
     w = _parse_complex(args.w)
     j, target = crofoot_multiplier(space, w)
     # the Gram defect is minus the compression of 1 - |J|^2, so one matrix
     # gives both the residual and the zero-symbol verdict
     defect = crofoot_defect_matrix(space, j)
     gram_residual = float(np.linalg.norm(defect))
-    vanishes = _entries_vanish(defect, RationalFn.one() - j * circle_conjugate(j), 1e-10)
+    vanishes = _entries_vanish(
+        defect, RationalFn.one() - j * circle_conjugate(j), ZERO_SYMBOL_TOL
+    )
     payload = {
         "multiplier": rational_to_json(j),
         "target": blaschke_to_json(target.inner),
@@ -394,7 +393,7 @@ def _cmd_crofoot(args):
 
 def _cmd_conjugation_check(args):
     tol = _tolerance(args, 1e-9)
-    space = _as_space(args.space)
+    space = ModelSpace(_as_blaschke(args.space))
     symbol = _as_symbol(args.symbol)
     c = conjugation_matrix(space)
     residual = selfadjoint_residual(tto_matrix(space, space, symbol), c)
@@ -402,15 +401,10 @@ def _cmd_conjugation_check(args):
         "selfadjoint": residual < tol,
         "residual": residual,
         "tolerance": tol,
-        "conjugation": [[_pair(v) for v in row] for row in c.J],
+        "conjugation": [[complex_to_pair(v) for v in row] for row in c.J],
     }
     csv = f"key,value\nresidual,{residual}\nselfadjoint,{residual < tol}\n"
     return payload, csv, EXIT_OK if residual < tol else EXIT_VERIFY
-
-
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _cmd_rank_equiv(args):
@@ -422,14 +416,11 @@ def _cmd_rank_equiv(args):
     except NotEquivalentError as exc:
         payload = {"equivalent": False, "detail": str(exc)}
         return payload, "equivalent,False\n", EXIT_OK
-    residual = float(
-        np.linalg.norm(a_entries - e_mat @ b_entries @ f_mat)
-        / (1.0 + np.linalg.norm(a_entries))
-    )
+    residual = _relative_defect(a_entries, e_mat @ b_entries @ f_mat)
     payload = {
         "equivalent": True,
-        "E": [[_pair(v) for v in row] for row in e_mat],
-        "F": [[_pair(v) for v in row] for row in f_mat],
+        "E": [[complex_to_pair(v) for v in row] for row in e_mat],
+        "F": [[complex_to_pair(v) for v in row] for row in f_mat],
         "residual": residual,
         "tolerance": tol,
     }
@@ -557,9 +548,6 @@ def run_command(argv) -> int:
             f"input error: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
-        return EXIT_INPUT
-    except (ShorthandError, SchemaError, CirclePoleError, NoMultiplierError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

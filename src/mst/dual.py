@@ -21,13 +21,13 @@ from .blaschke import (
     to_rational,
 )
 from .modelspace import ModelSpace, multiplier_between
+from .operators import _numeric_rank
 from .rational import (
     ComplexPoly,
-    FourierSplit,
     RationalFn,
     circle_conjugate,
     circle_node_count,
-    fourier_coefficient,
+    fourier_block,
     norm2,
     riesz_project,
     unit_circle_samples,
@@ -95,31 +95,20 @@ class ComplementElement:
         return self.total()(z)
 
 
-def _compress(target: ModelSpace, symbol: RationalFn, f: RationalFn) -> FourierSplit:
-    """Multiply, remove the component in ``target`` and split the remainder
-    into its analytic and anti-analytic halves."""
-    g = symbol * f
-    remainder = g - target.project(g)
-    return riesz_project(remainder)
-
-
 def dual_apply(
-    theta: BlaschkeProduct,
-    alpha: BlaschkeProduct,
-    symbol: RationalFn,
-    f: ComplementElement,
+    target: ModelSpace, symbol: RationalFn, f: ComplementElement
 ) -> ComplementElement:
-    """Apply the complement compression of ``symbol`` to ``f``.
+    """Apply the complement compression of ``symbol`` from the complement
+    that ``f`` lives on to the complement of ``target``.
 
-    Multiplies, removes the model-space component of the target, and splits
-    the remainder back into its analytic and anti-analytic halves.  The
-    remainder is orthogonal to the alpha-space, so its halves form a
-    complement element by construction and are not re-validated.
+    Multiplies, removes the component in ``target``
+    (:meth:`ModelSpace.complement_project`), and splits the remainder back
+    into its analytic and anti-analytic halves.  The remainder is orthogonal
+    to ``target``, so its halves form a complement element by construction
+    and are not re-validated.  Callers build ``target`` once and reuse it.
     """
-    if not f.theta.same_space(theta):
-        raise ValueError("element does not live on the stated complement")
-    split = _compress(ModelSpace(alpha), symbol, f.total())
-    return ComplementElement._trusted(alpha, split.analytic, split.antianalytic)
+    split = riesz_project(target.complement_project(symbol * f.total()))
+    return ComplementElement._trusted(target.inner, split.analytic, split.antianalytic)
 
 
 @dataclass(frozen=True)
@@ -173,8 +162,7 @@ def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
                 f"kernel candidate {j} is not a valid complement element: {exc}",
                 candidate,
             ) from exc
-        image = symbol * candidate
-        if norm2(image - space.project(image)) > MEMBER_TOL * (1.0 + norm2(image)):
+        if space.membership_residual(symbol * candidate) > MEMBER_TOL:
             raise FormulaMismatch(
                 f"kernel candidate {j} is not annihilated by the compression",
                 element,
@@ -266,13 +254,9 @@ def hankel_rank(symbol: RationalFn, max_n: int) -> int:
     """
     if max_n < 1:
         return 0
-    coeffs = np.array(
-        [fourier_coefficient(symbol, -m) for m in range(1, 2 * max_n)]
-    )
+    width = 2 * max_n - 1
+    coeffs = fourier_block(symbol, width)[width - 1 :: -1]  # f(-1) .. f(-width)
     h = np.empty((max_n, max_n), dtype=complex)
     for i in range(max_n):
         h[i, :] = coeffs[i : i + max_n]
-    s = np.linalg.svd(h, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > 1e-10 * s[0]))
+    return _numeric_rank(np.linalg.svd(h, compute_uv=False))

@@ -20,7 +20,6 @@ from .rational import (
     RationalFn,
     _pair_with_conjugate,
     circle_conjugate,
-    inner_product,
     norm2,
     sup_on_circle,
 )
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+#: relative bound of the zero-symbol verdict (:func:`_entries_vanish`)
+ZERO_SYMBOL_TOL = 1e-10
 
 
 class NoMultiplierError(ValueError):
@@ -85,18 +86,12 @@ class ModelSpace:
         # keeps linear combinations in a single reduced fraction instead of
         # stacking near-identical factors that no longer cancel numerically.
         self._den_full = tail_den
-        cofactors = []
-        tail = ComplexPoly([1.0])
-        for k in range(n - 1, -1, -1):
-            cofactors.append(tail)
-            tail = tail * factors[k]
-        cofactors.reverse()
-        self._lifted_nums = tuple(
-            tm_nums[k] * cofactors[k] for k in range(n)
-        )
         self.L = np.zeros((n, n), dtype=complex)
-        for k, lifted in enumerate(self._lifted_nums):
-            self.L[: lifted.coeffs.size, k] = lifted.coeffs
+        cofactor = ComplexPoly([1.0])  # prod_{j>k} (1 - conj(a_j) z)
+        for k in range(n - 1, -1, -1):
+            lifted = (tm_nums[k] * cofactor).coeffs
+            self.L[: lifted.size, k] = lifted
+            cofactor = cofactor * factors[k]
 
     def basis_samples(self, z) -> np.ndarray:
         """Basis values at the points ``z``, one row per element, by the
@@ -117,9 +112,9 @@ class ModelSpace:
 
     def from_coordinates(self, coords) -> RationalFn:
         num = ComplexPoly()
-        for c, lifted in zip(coords, self._lifted_nums):
+        for k, c in enumerate(coords):
             if c != 0:
-                num = num + lifted.scaled(complex(c))
+                num = num + ComplexPoly(self.L[:, k] * complex(c))
         if num.is_zero:
             return RationalFn.zero()
         return RationalFn(num, self._den_full)
@@ -229,8 +224,17 @@ def crofoot_defect_matrix(space: ModelSpace, j: RationalFn) -> np.ndarray:
     degree-doubled symbol, it keeps its digits when the poles of ``j`` come
     near the circle."""
     images = [j * e for e in space.basis]
-    gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
+    conj_images = [circle_conjugate(v) for v in images]
+    gram = np.array([[_pair_with_conjugate(u, vb) for vb in conj_images] for u in images]).T
     return gram - np.eye(space.dim)
+
+
+def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool:
+    """The zero-symbol verdict on the compressed entries of ``symbol``."""
+    if entries.size == 0:
+        return True
+    bound = tol * (1.0 + sup_on_circle(symbol, 32))
+    return float(np.max(np.abs(entries))) < bound
 
 
 def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
@@ -238,21 +242,17 @@ def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
     return float(np.linalg.norm(crofoot_defect_matrix(space, j)))
 
 
-def crofoot_isometry_check(
-    b: BlaschkeProduct, h: RationalFn, k: complex, tol: float = 1e-10
-) -> bool:
+def crofoot_isometry_check(b: BlaschkeProduct, h: RationalFn, k: complex) -> bool:
     """Whether the generalized Crofoot multiplier ``k / (1 - h B)`` maps the
     model space isometrically onto its image.
 
     The criterion is that the compression of ``1 - |J|^2`` to the model
     space vanishes; it is read entrywise from :func:`crofoot_defect_matrix`
-    with the bound of ``operators.is_zero_symbol``.  Constant ``h`` with
-    ``|k|^2 = 1 - |h|^2`` always passes; whether any non-constant ``h``
-    admits a valid ``k`` is checked per instance only, never answered in
-    general.
+    at ``ZERO_SYMBOL_TOL``, the bound of ``operators.is_zero_symbol``.
+    Constant ``h`` with ``|k|^2 = 1 - |h|^2`` always passes; whether any
+    non-constant ``h`` admits a valid ``k`` is checked per instance only,
+    never answered in general.
     """
-    from .operators import _entries_vanish  # deferred: avoids a module cycle
-
     k = complex(k)
     if k == 0:
         raise ValueError("the constant k must be nonzero")
@@ -265,4 +265,4 @@ def crofoot_isometry_check(
     theta = space.rational
     j = k * (RationalFn.one() - h * theta).inverse()
     symbol = RationalFn.one() - j * circle_conjugate(j)
-    return _entries_vanish(crofoot_defect_matrix(space, j), symbol, tol)
+    return _entries_vanish(crofoot_defect_matrix(space, j), symbol, ZERO_SYMBOL_TOL)

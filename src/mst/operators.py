@@ -15,8 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .modelspace import ModelSpace, multiplier_between
-from .rational import RationalFn, _pair_with_conjugate, circle_conjugate, sup_on_circle
+from .modelspace import (
+    MEMBERSHIP_TOL,
+    ZERO_SYMBOL_TOL,
+    ModelSpace,
+    _entries_vanish,
+    multiplier_between,
+)
+from .rational import RationalFn, circle_conjugate
 
 __all__ = [
     "OperatorMatrix",
@@ -37,6 +43,7 @@ __all__ = [
     "rank_equivalence",
     "kernel_and_range",
     "subspace_angle",
+    "unitarity_defect",
 ]
 
 RANK_TOL = 1e-10
@@ -68,9 +75,6 @@ class OperatorMatrix:
             raise ValueError("composition mismatch: inner spaces differ")
         return OperatorMatrix(self.entries @ other.entries, other.domain, self.codomain)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
     def cond(self) -> float:
         if self.entries.size == 0:
             return 1.0
@@ -81,26 +85,33 @@ class OperatorMatrix:
 
 
 def tto_matrix(domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn) -> OperatorMatrix:
-    """Compression of multiplication by ``symbol`` between the two spaces."""
+    """Compression of multiplication by ``symbol`` between the two spaces:
+    column ``j`` holds the codomain coordinates of ``symbol * e_j``."""
     entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
     for j, e in enumerate(domain.basis):
-        g = symbol * e
-        for i, eb in enumerate(codomain._conj_basis):
-            entries[i, j] = _pair_with_conjugate(g, eb)
+        entries[:, j] = codomain.coordinates(symbol * e)
     return OperatorMatrix(entries, domain, codomain)
 
 
+def _image_columns(domain: ModelSpace, codomain: ModelSpace, a: RationalFn):
+    """The compression of ``a`` and, per column, the membership residual of
+    ``a * e_j`` in the codomain, both from one pairing pass."""
+    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
+    residuals = np.zeros(domain.dim)
+    for j, e in enumerate(domain.basis):
+        entries[:, j], residuals[j] = codomain._coordinates_and_residual(a * e)
+    return entries, residuals
+
+
 def multiplication_matrix(
-    domain: ModelSpace, codomain: ModelSpace, a: RationalFn, tol: float = 1e-9
+    domain: ModelSpace, codomain: ModelSpace, a: RationalFn
 ) -> OperatorMatrix:
     """Exact matrix of ``f -> a f`` when ``a`` maps the domain into the
-    codomain; rejects symbols that leak outside.  Each column is the
-    coordinate vector of ``a * e_j``, the same pairings as ``tto_matrix``,
-    and its range residual comes from the same pairings."""
-    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
-    for j, e in enumerate(domain.basis):
-        entries[:, j], residual = codomain._coordinates_and_residual(a * e)
-        if residual >= tol:
+    codomain; rejects symbols whose image of some basis element has a
+    membership residual of at least ``MEMBERSHIP_TOL``."""
+    entries, residuals = _image_columns(domain, codomain, a)
+    for j, residual in enumerate(residuals):
+        if residual >= MEMBERSHIP_TOL:
             raise MultiplierRangeViolation(
                 f"a * (basis element {j}) leaves the codomain (residual {residual:.3e})"
             )
@@ -108,7 +119,7 @@ def multiplication_matrix(
 
 
 def is_zero_symbol(
-    domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn, tol: float = 1e-10
+    domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn, tol: float = ZERO_SYMBOL_TOL
 ) -> bool:
     """Whether the compressed operator vanishes.
 
@@ -118,12 +129,10 @@ def is_zero_symbol(
     return _entries_vanish(tto_matrix(domain, codomain, symbol).entries, symbol, tol)
 
 
-def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool:
-    """The zero-symbol verdict on the compressed entries of ``symbol``."""
-    if entries.size == 0:
-        return True
-    bound = tol * (1.0 + sup_on_circle(symbol, 32))
-    return float(np.max(np.abs(entries))) < bound
+def _relative_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a - b|| / (1 + ||a||)`` in the Frobenius norm: the defect of a
+    matrix identity relative to its reference side ``a``."""
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
 
 
 @dataclass
@@ -131,7 +140,10 @@ class EquivalenceTransform:
     """Factors realizing ``A = E @ B @ F`` across model spaces.
 
     ``tilde_symbol`` is the transported symbol; ``residual`` is the relative
-    Frobenius defect of the identity on the given data.
+    Frobenius defect of the identity on the given data.  ``A`` and ``B`` are
+    the two compressions that residual compares: ``A`` of the symbol from
+    the theta-space to the alpha-space, ``B`` of ``tilde_symbol`` from the
+    eta-space to the gamma-space.
     """
 
     E: OperatorMatrix
@@ -140,6 +152,8 @@ class EquivalenceTransform:
     residual: float
     cond_E: float
     cond_F: float
+    A: OperatorMatrix
+    B: OperatorMatrix
 
 
 def equivalence_transform(
@@ -170,7 +184,7 @@ def equivalence_transform(
     multiplication by ``1/a2`` from the alpha-space to the gamma-space:
     ``E = solve(L_gamma, L_alpha)^H``.  Both compressions of the symbols stay
     on the exact pairings, so ``residual`` checks the closed form
-    independently.
+    independently; they are returned as ``A`` and ``B``.
     """
     k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
     k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
@@ -181,12 +195,9 @@ def equivalence_transform(
     f_mat = OperatorMatrix(np.linalg.solve(k_eta.L, k_theta.L), k_theta, k_eta)
     lhs = tto_matrix(k_theta, k_alpha, symbol)
     mid = tto_matrix(k_eta, k_gamma, tilde)
-    rhs = e_mat @ mid @ f_mat
-    residual = float(
-        np.linalg.norm(lhs.entries - rhs.entries) / (1.0 + np.linalg.norm(lhs.entries))
-    )
+    residual = _relative_defect(lhs.entries, (e_mat @ mid @ f_mat).entries)
     return EquivalenceTransform(
-        e_mat, f_mat, tilde, residual, e_mat.cond(), f_mat.cond()
+        e_mat, f_mat, tilde, residual, e_mat.cond(), f_mat.cond(), lhs, mid
     )
 
 
@@ -207,17 +218,17 @@ def brown_halmos_product(
 ) -> BrownHalmosCheck:
     """Check that the compression of ``psi * phi`` factors through ``mid``.
 
-    The checkable hypothesis is ``phi * k1 rest mid`` (tested per basis
-    element); under it the product of the two compressions reproduces the
-    compression of the product.
+    The checkable hypothesis is ``phi * k1 rest mid``: every ``phi * e_j``
+    has a membership residual in ``mid`` below ``MEMBERSHIP_TOL``.  Under it
+    the product of the two compressions reproduces the compression of the
+    product.  One pairing pass of ``phi * e_j`` against the basis of ``mid``
+    gives both the right factor and those residuals.
     """
-    hypothesis_ok = all(mid.contains(phi * e) for e in k1.basis)
-    product = tto_matrix(k1, k2, psi * phi)
-    left = tto_matrix(mid, k2, psi)
-    right = tto_matrix(k1, mid, phi)
-    diff = product.entries - (left @ right).entries
-    residual = float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(product.entries)))
-    return BrownHalmosCheck(residual, hypothesis_ok)
+    product = tto_matrix(k1, k2, psi * phi).entries
+    left = tto_matrix(mid, k2, psi).entries
+    right, residuals = _image_columns(k1, mid, phi)
+    hypothesis_ok = bool(np.all(residuals < MEMBERSHIP_TOL))
+    return BrownHalmosCheck(_relative_defect(product, left @ right), hypothesis_ok)
 
 
 @dataclass
@@ -231,12 +242,17 @@ class ConjugationMatrix:
         self.J = np.asarray(self.J, dtype=complex)
 
     def unitarity_defect(self) -> float:
-        n = self.J.shape[0]
-        return float(np.linalg.norm(self.J.conj().T @ self.J - np.eye(n)))
+        return unitarity_defect(self.J)
 
     def involution_defect(self) -> float:
         n = self.J.shape[0]
         return float(np.linalg.norm(self.J @ np.conj(self.J) - np.eye(n)))
+
+
+def unitarity_defect(matrix: np.ndarray) -> float:
+    """``||M^H M - I||`` in the Frobenius norm; zero exactly when the
+    columns of ``matrix`` are orthonormal."""
+    return float(np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[1])))
 
 
 def conjugation_matrix(space: ModelSpace) -> ConjugationMatrix:
@@ -261,10 +277,7 @@ def selfadjoint_residual(a: OperatorMatrix, c: ConjugationMatrix) -> float:
         raise ValueError("operator must be square")
     if not a.domain.same_space(c.space):
         raise ValueError("operator and conjugation live on different spaces")
-    lhs = c.J @ np.conj(a.entries) @ np.linalg.inv(c.J)
-    return float(np.linalg.norm(lhs - a.entries.conj().T)) / (
-        1.0 + float(np.linalg.norm(a.entries))
-    )
+    return _relative_defect(a.entries.conj().T, c.J @ np.conj(a.entries) @ np.linalg.inv(c.J))
 
 
 def is_complex_selfadjoint(
@@ -308,13 +321,14 @@ def pullback_compatibility_defect(c: ConjugationMatrix, f: OperatorMatrix) -> fl
     return float(np.linalg.norm(c.J @ np.conj(frame) - frame @ c.J))
 
 
-def _numeric_rank(s: np.ndarray, tol: float) -> int:
+def _numeric_rank(s: np.ndarray) -> int:
+    """Count of the descending singular values ``s`` above ``RANK_TOL * s[0]``."""
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def rank_equivalence(a, b, rank_tol: float = RANK_TOL):
+def rank_equivalence(a, b):
     """Invertible factors ``(E, F)`` with ``A = E B F`` when the ranks agree.
 
     Built from the two singular value decompositions: the nonzero singular
@@ -328,8 +342,8 @@ def rank_equivalence(a, b, rank_tol: float = RANK_TOL):
     n = a_mat.shape[0]
     ua, sa, vha = np.linalg.svd(a_mat)
     ub, sb, vhb = np.linalg.svd(b_mat)
-    ra = _numeric_rank(sa, rank_tol)
-    rb = _numeric_rank(sb, rank_tol)
+    ra = _numeric_rank(sa)
+    rb = _numeric_rank(sb)
     if ra != rb:
         raise NotEquivalentError(f"rank {ra} != rank {rb}")
     d = np.ones(n)
@@ -339,13 +353,13 @@ def rank_equivalence(a, b, rank_tol: float = RANK_TOL):
     return e_mat, f_mat
 
 
-def kernel_and_range(a, rank_tol: float = RANK_TOL):
+def kernel_and_range(a):
     """Null-space basis (right singular vectors) and numerical rank."""
     a_mat = np.asarray(a.entries if isinstance(a, OperatorMatrix) else a, dtype=complex)
     if a_mat.size == 0:
         return [], 0
     _, s, vh = np.linalg.svd(a_mat)
-    rank = _numeric_rank(s, rank_tol)
+    rank = _numeric_rank(s)
     kernel = [vh[i].conj() for i in range(rank, vh.shape[0])]
     return kernel, rank
 

@@ -236,9 +236,6 @@ class ComplexPoly:
         quo, rem = npp.polydiv(self.coeffs, other.coeffs)
         return ComplexPoly(quo), ComplexPoly(rem)
 
-    def conj_coeffs(self) -> "ComplexPoly":
-        return ComplexPoly(np.conj(self.coeffs))
-
     def __repr__(self):
         return f"ComplexPoly({list(self.coeffs)!r})"
 
@@ -345,7 +342,7 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
 class RationalFn:
     """Reduced quotient ``num / den`` with a monic denominator.
 
-    Denominator roots within ``pole_tolerance`` of the unit circle are
+    Denominator roots within ``POLE_TOL`` of the unit circle are
     rejected so that every value has a bounded boundary trace.  Common
     numerator/denominator roots are cancelled up to ``CLUSTER_TOL``; when
     nothing cancels the original coefficients are kept bit-for-bit (apart
@@ -354,7 +351,7 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1.0, *, pole_tolerance: float = POLE_TOL):
+    def __init__(self, num, den=1.0):
         n = num if isinstance(num, ComplexPoly) else ComplexPoly(num)
         d = den if isinstance(den, ComplexPoly) else ComplexPoly(den)
         if d.is_zero:
@@ -375,9 +372,9 @@ class RationalFn:
         else:
             poles = d_rest.roots()
         for r in poles:
-            if abs(abs(r) - 1.0) < pole_tolerance:
+            if abs(abs(r) - 1.0) < POLE_TOL:
                 raise CirclePoleError(
-                    f"denominator root {r} lies within {pole_tolerance} of the unit circle"
+                    f"denominator root {r} lies within {POLE_TOL} of the unit circle"
                 )
         lead = d_rest.lead
         self.num = (n_rest * ComplexPoly.monomial(vn)).scaled(1.0 / lead)
@@ -628,22 +625,19 @@ def _anti_tail(anti: RationalFn, count: int) -> np.ndarray:
 def fourier_coefficient(f: RationalFn, n: int) -> complex:
     """``n``-th Fourier coefficient (equals the pairing against ``z**n``).
 
-    Read off from the split: a Taylor coefficient of the analytic part for
-    ``n >= 0``, a coefficient of the expansion at infinity of the
-    anti-analytic part for ``n < 0``.  Both series decay, so arbitrarily
-    high frequencies stay accurate.
+    Read from ``fourier_block(f, abs(n))``.
     """
-    split = riesz_project(f)
-    if n >= 0:
-        part = split.analytic
-        if part.is_zero:
-            return 0.0 + 0.0j
-        return complex(_taylor_div(part.num, part.den, n + 1)[n])
-    return complex(_anti_tail(split.antianalytic, -n)[-n - 1])
+    return complex(fourier_block(f, abs(n))[n + abs(n)])
 
 
 def fourier_block(f: RationalFn, nmax: int) -> np.ndarray:
-    """All coefficients ``f̂(-nmax) .. f̂(nmax)``; entry ``k`` is ``f̂(k - nmax)``."""
+    """All coefficients ``f̂(-nmax) .. f̂(nmax)``; entry ``k`` is ``f̂(k - nmax)``.
+
+    Read off from the split: Taylor coefficients of the analytic part for
+    ``k >= nmax``, coefficients of the expansion at infinity of the
+    anti-analytic part below.  Both series decay, so arbitrarily high
+    frequencies stay accurate.
+    """
     out = np.zeros(2 * nmax + 1, dtype=complex)
     split = riesz_project(f)
     if not split.analytic.is_zero:

@@ -41,6 +41,7 @@ from .operators import (
     selfadjoint_residual,
     subspace_angle,
     tto_matrix,
+    unitarity_defect,
 )
 from .rational import (
     ComplexPoly,
@@ -241,8 +242,8 @@ def _suite_operators(seed: int) -> SuiteReport:
         a = multiplier_between(k_zn, k_theta)
         phi = circle_conjugate(a).inverse() * RationalFn.monomial(k) * a.inverse()
         res = equivalence_transform(theta, theta, zn, zn, phi)
-        ker_lhs, _ = kernel_and_range(tto_matrix(k_theta, k_theta, phi))
-        ker_mid, _ = kernel_and_range(tto_matrix(k_zn, k_zn, res.tilde_symbol))
+        ker_lhs, _ = kernel_and_range(res.A)
+        ker_mid, _ = kernel_and_range(res.B)
         image = [res.F.entries @ v for v in ker_lhs]
         transport_angle = max(transport_angle, subspace_angle(image, ker_mid))
         m = multiplication_matrix(k_zn, k_theta, a)
@@ -277,10 +278,7 @@ def _suite_operators(seed: int) -> SuiteReport:
             theta_space, theta_space,
             RationalFn.one() - (2.0 * j) * circle_conjugate(2.0 * j),
         )
-        gram = multiplication_matrix(theta_space, target, j)
-        gram_ok = np.linalg.norm(
-            gram.entries.conj().T @ gram.entries - np.eye(2)
-        ) < 1e-9
+        gram_ok = unitarity_defect(multiplication_matrix(theta_space, target, j).entries) < 1e-9
         unitary_agree = unitary_agree and good and not bad and gram_ok
     report.add("equivalence identity (random instances)", equiv_res, 1e-9)
     report.add("equivalence factor condition numbers", cond_worst, 1e8)
@@ -309,26 +307,24 @@ def _suite_dual(seed: int) -> SuiteReport:
             ComplementElement(theta, RationalFn.zero(), RationalFn.monomial(-2)),
         ]
         phi = random_rational(rng)
-        hits = max(norm2(dual_apply(theta, theta, phi, p).total()) for p in probes)
+        space = ModelSpace(theta)
+        hits = max(norm2(dual_apply(space, phi, p).total()) for p in probes)
         uniq = max(uniq, 0.0 if hits > 1e-8 else 1.0)
-        zeros = max(
-            norm2(dual_apply(theta, theta, RationalFn.zero(), p).total()) for p in probes
-        )
+        zeros = max(norm2(dual_apply(space, RationalFn.zero(), p).total()) for p in probes)
         uniq = max(uniq, zeros)
     deg1 = BlaschkeProduct((0.3,))
     alpha63 = BlaschkeProduct((0.5, 1.0 / 3.0))
     for n in range(1, 6):
         theta = BlaschkeProduct((0.0,) * n)
+        space = ModelSpace(theta)
         for alpha in (BlaschkeProduct(()), BlaschkeProduct((0.0,)), BlaschkeProduct((0.0, 0.0)), deg1, alpha63):
             res = dual_kernel(theta, alpha)
             dim_ok = dim_ok and res.dim == max(0, n - 1 - res.k)
-            space = ModelSpace(theta)
             symbol = to_rational(alpha) * RationalFn(ComplexPoly([-1.0, 1.0]))
             for elem in res.basis:
-                image = symbol * elem.total()
                 member = max(
                     member,
-                    norm2(image - space.project(image)) / (1.0 + norm2(image)),
+                    space.membership_residual(symbol * elem.total()),
                     norm2(riesz_project(elem.total()).analytic),
                 )
     for _ in range(3):
@@ -370,7 +366,6 @@ def _suite_dual(seed: int) -> SuiteReport:
 def _suite_wh(seed: int) -> SuiteReport:
     rng = np.random.default_rng(seed)
     report = SuiteReport("wh")
-    zs = unit_circle_samples(32)
     consistency = agreement = 0.0
     dichotomy_ok = True
     count = 0
@@ -391,21 +386,7 @@ def _suite_wh(seed: int) -> SuiteReport:
         if not factorizable:
             continue
         count += 1
-        # recombine the factors and compare with the symbol matrix
-        det_inv = 1.0 / fact.det
-        p = fact.g_plus_inv
-        g_plus = [
-            [RationalFn(p[1][1]) * det_inv, RationalFn(-p[0][1]) * det_inv],
-            [RationalFn(-p[1][0]) * det_inv, RationalFn(p[0][0]) * det_inv],
-        ]
-        g = [
-            [RationalFn.monomial(-n), RationalFn.zero()],
-            [phi, RationalFn.monomial(n)],
-        ]
-        for i in range(2):
-            for j in range(2):
-                val = sum(fact.g_minus[i][k](zs) * g_plus[k][j](zs) for k in range(2))
-                consistency = max(consistency, float(np.max(np.abs(val - g[i][j](zs)))))
+        consistency = max(consistency, fact.recombination_defect())
         if np.linalg.cond(np.linalg.inv(direct.entries)) < 1e6:
             for j in range(n):
                 coords = direct.domain.coordinates(

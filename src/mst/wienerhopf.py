@@ -18,7 +18,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .modelspace import ModelSpace
 from .operators import OperatorMatrix, tto_matrix
-from .rational import ComplexPoly, RationalFn, _valuation, riesz_project
+from .rational import ComplexPoly, RationalFn, _valuation, riesz_project, unit_circle_samples
 
 __all__ = [
     "MatrixFactorization",
@@ -52,9 +52,7 @@ class MatrixFactorization:
 
     ``g_plus_inv`` holds the polynomial entries of the inverse analytic
     factor; ``g_minus_inv`` the rational entries of the inverse
-    anti-analytic factor, normalized to the identity at infinity (the
-    recorded value ``g_minus_inv_at_inf`` is the reciprocal determinant
-    times the identity).
+    anti-analytic factor, normalized to the identity at infinity.
     """
 
     n: int
@@ -63,9 +61,30 @@ class MatrixFactorization:
     g_minus: list
     g_minus_inv: list
     det: complex
-    g_minus_inv_at_inf: np.ndarray
     residual: float
     degree_bound: int
+
+    def recombination_defect(self) -> float:
+        """Largest deviation of ``G_minus @ G_plus`` from the symbol matrix
+        ``[[conj(z)^n, 0], [phi, z^n]]`` over 32 circle points, with
+        ``G_plus`` the adjugate of ``g_plus_inv`` over its determinant."""
+        zs = unit_circle_samples(32)
+        inv_det = 1.0 / self.det
+        p = self.g_plus_inv
+        g_plus = [
+            [RationalFn(p[1][1]) * inv_det, RationalFn(-p[0][1]) * inv_det],
+            [RationalFn(-p[1][0]) * inv_det, RationalFn(p[0][0]) * inv_det],
+        ]
+        g = [
+            [RationalFn.monomial(-self.n), RationalFn.zero()],
+            [self.phi, RationalFn.monomial(self.n)],
+        ]
+        worst = 0.0
+        for i in range(2):
+            for j in range(2):
+                val = sum(self.g_minus[i][k](zs) * g_plus[k][j](zs) for k in range(2))
+                worst = max(worst, float(np.max(np.abs(val - g[i][j](zs)))))
+        return worst
 
 
 def _laurent_data(phi: RationalFn):
@@ -193,7 +212,6 @@ def _assemble(n, phi, parts, det0, residual, bound) -> MatrixFactorization:
         g_minus=g_minus,
         g_minus_inv=g_minus_inv,
         det=det0,
-        g_minus_inv_at_inf=np.eye(2, dtype=complex) * inv_det,
         residual=residual,
         degree_bound=bound,
     )

@@ -26,6 +26,7 @@ from mst.verify import run_suite
 
 THIRD = 1.0 / 3.0
 Z2 = BlaschkeProduct((0.0, 0.0))
+K_Z2 = ModelSpace(Z2)
 ALPHA = BlaschkeProduct((0.5, THIRD))
 ONE = RationalFn.one()
 ZBAR = RationalFn.monomial(-1)
@@ -56,18 +57,18 @@ class TestComplementElement:
 
 class TestDualApply:
     def test_identity_symbol_antianalytic(self):
-        out = dual_apply(Z2, Z2, ONE, element(Z2, antianalytic=ZBAR))
+        out = dual_apply(K_Z2, ONE, element(Z2, antianalytic=ZBAR))
         assert out.antianalytic.isclose(ZBAR, tol=1e-10)
         assert out.analytic.is_zero
 
     def test_annihilated_element(self):
         phi = RationalFn.monomial(2) * RationalFn(ComplexPoly([-1.0, 1.0]))
-        out = dual_apply(Z2, Z2, phi, element(Z2, antianalytic=RationalFn.monomial(-2)))
+        out = dual_apply(K_Z2, phi, element(Z2, antianalytic=RationalFn.monomial(-2)))
         assert norm2(out.total()) < 1e-12
 
     def test_identity_symbol_analytic(self):
         f2 = RationalFn.monomial(2)
-        out = dual_apply(Z2, Z2, ONE, element(Z2, analytic=f2))
+        out = dual_apply(K_Z2, ONE, element(Z2, analytic=f2))
         assert out.analytic.isclose(f2, tol=1e-10)
         assert out.antianalytic.is_zero
 
@@ -85,14 +86,10 @@ class TestDualApply:
             phi = random_rational(rng)
             scale = sup_on_circle(phi)
             assert scale > 1e-6
-            hits = [
-                norm2(dual_apply(theta, theta, phi, p).total()) for p in probes
-            ]
+            space = ModelSpace(theta)
+            hits = [norm2(dual_apply(space, phi, p).total()) for p in probes]
             assert max(hits) > 1e-8 * scale
-            zero_hits = [
-                norm2(dual_apply(theta, theta, RationalFn.zero(), p).total())
-                for p in probes
-            ]
+            zero_hits = [norm2(dual_apply(space, RationalFn.zero(), p).total()) for p in probes]
             assert max(zero_hits) < 1e-12
 
 
@@ -208,18 +205,20 @@ class TestDualEquivalence:
             alpha, gamma = random_blaschke(rng, degree=d2), random_blaschke(rng, degree=d2)
             symbol = random_rational(rng)
             probes, seed = 3, int(rng.integers(2**31))
-            a1 = multiplier_between(ModelSpace(eta), ModelSpace(theta))
-            a2 = multiplier_between(ModelSpace(gamma), ModelSpace(alpha))
+            k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
+            k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
+            a1 = multiplier_between(k_eta, k_theta)
+            a2 = multiplier_between(k_gamma, k_alpha)
             a1_bar = circle_conjugate(a1)
             tilde = a2.inverse() * symbol * a1_bar.inverse()
             draws = np.random.default_rng(seed)
             worst = 0.0
             for _ in range(probes):
                 probe = _random_probe(theta, draws)
-                lhs = dual_apply(theta, alpha, symbol, probe)
-                step1 = dual_apply(theta, eta, a1_bar, probe)
-                step2 = dual_apply(eta, gamma, tilde, step1)
-                step3 = dual_apply(gamma, alpha, a2, step2)
+                lhs = dual_apply(k_alpha, symbol, probe)
+                step1 = dual_apply(k_eta, a1_bar, probe)
+                step2 = dual_apply(k_gamma, tilde, step1)
+                step3 = dual_apply(k_alpha, a2, step2)
                 worst = max(worst, float(np.max(np.abs(lhs(zs) - step3(zs)))))
             assert worst < 1e-8
             res = dual_equivalence(theta, alpha, eta, gamma, symbol, probes=probes, seed=seed)

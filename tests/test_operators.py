@@ -25,6 +25,7 @@ from mst.operators import (
     rank_equivalence,
     subspace_angle,
     tto_matrix,
+    unitarity_defect,
 )
 from mst.rational import ComplexPoly, RationalFn, circle_conjugate
 from mst.sampling import random_blaschke, random_rational
@@ -40,6 +41,23 @@ K_Z2 = build_space(Z2)
 K_Z3 = build_space(Z3)
 K_ALPHA = build_space(ALPHA)
 A_MULT = multiplier_between(K_Z2, K_ALPHA)  # 1/((1 - z/2)(1 - z/3))
+
+
+def two_pass_brown_halmos(k1, mid, k2, psi, phi):
+    """The product-splitting residual and hypothesis by separate passes:
+    per-element membership, then the three compressions."""
+    hypothesis_ok = all(mid.contains(phi * e) for e in k1.basis)
+    product = tto_matrix(k1, k2, psi * phi).entries
+    right = tto_matrix(k1, mid, phi).entries
+    diff = product - tto_matrix(mid, k2, psi).entries @ right
+    residual = float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(product)))
+    return residual, hypothesis_ok
+
+
+def assert_matches_two_pass(check, *args):
+    residual, hypothesis_ok = two_pass_brown_halmos(*args)
+    assert check.residual == residual
+    assert check.hypothesis_ok == hypothesis_ok
 
 
 def example_symbol_65():
@@ -151,6 +169,21 @@ class TestEquivalenceTransform:
             assert res.residual < 1e-9
             assert res.cond_E < 1e8 and res.cond_F < 1e8
 
+    def test_returned_compressions_are_exact(self):
+        # A and B are the compressions the residual compares, bit for bit
+        rng = np.random.default_rng(31)
+        for d1, d2 in ((1, 3), (2, 2), (4, 1)):
+            theta, eta = random_blaschke(rng, degree=d1), random_blaschke(rng, degree=d1)
+            alpha, gamma = random_blaschke(rng, degree=d2), random_blaschke(rng, degree=d2)
+            symbol = random_rational(rng)
+            res = equivalence_transform(theta, alpha, eta, gamma, symbol)
+            a = tto_matrix(build_space(theta), build_space(alpha), symbol)
+            b = tto_matrix(build_space(eta), build_space(gamma), res.tilde_symbol)
+            assert np.array_equal(res.A.entries, a.entries)
+            assert np.array_equal(res.B.entries, b.entries)
+            assert res.A.domain.same_space(a.domain) and res.A.codomain.same_space(a.codomain)
+            assert res.B.domain.same_space(b.domain) and res.B.codomain.same_space(b.codomain)
+
     def test_factors_match_exact_pairings(self):
         # E and F are closed-form changes of basis; the exact pairings of
         # 1/a1 and 1/conj(a2) against the bases must give the same matrices
@@ -226,10 +259,8 @@ class TestEquivalenceTransform:
             a = multiplier_between(k_zn, k_theta)
             phi = circle_conjugate(a).inverse() * RationalFn.monomial(k) * a.inverse()
             res = equivalence_transform(theta, theta, zn, zn, phi)
-            lhs = tto_matrix(k_theta, k_theta, phi)
-            mid = tto_matrix(k_zn, k_zn, res.tilde_symbol)
-            ker_lhs, _ = kernel_and_range(lhs)
-            ker_mid, _ = kernel_and_range(mid)
+            ker_lhs, _ = kernel_and_range(res.A)
+            ker_mid, _ = kernel_and_range(res.B)
             assert len(ker_lhs) == len(ker_mid) == k
             image = [res.F.entries @ v for v in ker_lhs]
             assert subspace_angle(image, ker_mid) < 1e-7
@@ -242,15 +273,13 @@ class TestEquivalenceTransform:
             sym = ONE - j * circle_conjugate(j)
             assert is_zero_symbol(space, space, sym)
             m = multiplication_matrix(space, target, j)
-            gram = m.entries.conj().T @ m.entries
-            assert np.linalg.norm(gram - np.eye(space.dim)) < 1e-9
+            assert unitarity_defect(m.entries) < 1e-9
             # negative direction: scaling breaks isometry and the criterion
             j2 = 2.0 * j
             sym2 = ONE - j2 * circle_conjugate(j2)
             assert not is_zero_symbol(space, space, sym2)
             m2 = multiplication_matrix(space, target, j2)
-            gram2 = m2.entries.conj().T @ m2.entries
-            assert np.linalg.norm(gram2 - np.eye(space.dim)) > 1e-3
+            assert unitarity_defect(m2.entries) > 1e-3
 
 
 class TestBrownHalmos:
@@ -260,17 +289,20 @@ class TestBrownHalmos:
         check = brown_halmos_product(K_Z2, K_ALPHA, K_Z3, psi, A_MULT)
         assert check.hypothesis_ok
         assert check.residual < 1e-9
+        assert_matches_two_pass(check, K_Z2, K_ALPHA, K_Z3, psi, A_MULT)
 
     def test_identity_midspace(self):
         check = brown_halmos_product(K_Z2, K_Z2, K_Z2, ONE + Z, ONE)
         assert check.hypothesis_ok
         assert check.residual < 1e-12
+        assert_matches_two_pass(check, K_Z2, K_Z2, K_Z2, ONE + Z, ONE)
 
     def test_one_dimensional(self):
         k_z = build_space(BlaschkeProduct((0.0,)))
         check = brown_halmos_product(k_z, K_Z2, k_z, RationalFn.monomial(-1), Z)
         assert check.hypothesis_ok
         assert check.residual < 1e-9
+        assert_matches_two_pass(check, k_z, K_Z2, k_z, RationalFn.monomial(-1), Z)
 
     def test_polynomial_enlargement(self):
         rng = np.random.default_rng(17)
@@ -279,11 +311,11 @@ class TestBrownHalmos:
             big = BlaschkeProduct(b.zeros + (0.0, 0.0), b.constant)
             phi = RationalFn(ComplexPoly(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
             psi = random_rational(rng)
-            check = brown_halmos_product(
-                build_space(b), build_space(big), K_Z2, psi, phi
-            )
+            k1, mid = build_space(b), build_space(big)
+            check = brown_halmos_product(k1, mid, K_Z2, psi, phi)
             assert check.hypothesis_ok
             assert check.residual < 1e-9
+            assert_matches_two_pass(check, k1, mid, K_Z2, psi, phi)
 
     def test_hypothesis_violation_flagged(self):
         k_z = build_space(BlaschkeProduct((0.0,)))
@@ -292,6 +324,7 @@ class TestBrownHalmos:
         check = brown_halmos_product(K_Z2, k_z, K_Z2, RationalFn.monomial(-1), ONE)
         assert not check.hypothesis_ok
         assert check.residual > 1e-3
+        assert_matches_two_pass(check, K_Z2, k_z, K_Z2, RationalFn.monomial(-1), ONE)
 
 
 class TestConjugation:

@@ -27,32 +27,6 @@ ONE = RationalFn.one()
 Z = RationalFn.monomial(1)
 
 
-def symbol_matrix(n, phi):
-    zbar_n = RationalFn.monomial(-n)
-    z_n = RationalFn.monomial(n)
-    return [[zbar_n, RationalFn.zero()], [phi, z_n]]
-
-
-def check_factorization(fact):
-    """G_minus * G_plus reproduces the symbol matrix on circle samples."""
-    det = fact.det
-    p = fact.g_plus_inv
-    inv_det = 1.0 / det
-    g_plus = [
-        [RationalFn(p[1][1]) * inv_det, RationalFn(-p[0][1]) * inv_det],
-        [RationalFn(-p[1][0]) * inv_det, RationalFn(p[0][0]) * inv_det],
-    ]
-    g = symbol_matrix(fact.n, fact.phi)
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            recombined = sum(
-                fact.g_minus[i][k](ZS) * g_plus[k][j](ZS) for k in range(2)
-            )
-            worst = max(worst, float(np.max(np.abs(recombined - g[i][j](ZS)))))
-    return worst
-
-
 class TestFactorize:
     def test_hand_solved_degree_one(self):
         c = 2.0 - 1.0j
@@ -77,8 +51,14 @@ class TestFactorize:
 
     def test_invertible_example(self):
         fact = wiener_hopf_factorize(2, ONE + (5.0 / 6.0) * Z)
-        assert check_factorization(fact) < 1e-9
+        assert fact.recombination_defect() < 1e-9
         assert abs(fact.det - 1.0) < 1e-8
+
+    def test_recombination_defect_negative_control(self):
+        # a perturbed anti-analytic factor no longer recombines to the symbol
+        fact = wiener_hopf_factorize(2, ONE + (5.0 / 6.0) * Z)
+        fact.g_minus[1][0] = fact.g_minus[1][0] + 0.01 * Z
+        assert fact.recombination_defect() > 1e-3
 
     def test_shift_symbol_fails(self):
         with pytest.raises(NoCanonicalFactorization):
@@ -94,7 +74,7 @@ class TestFactorize:
             except (NoCanonicalFactorization, DegreeCapExceeded):
                 continue
             found += 1
-            assert check_factorization(fact) < 1e-9
+            assert fact.recombination_defect() < 1e-9
 
 
 class TestInverseFormula:

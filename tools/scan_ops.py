@@ -23,17 +23,20 @@ are imported) shows every output that is not bit-identical.  Items:
 * ``cli_readme`` ops 0-83, seeds 1-3: exit code and standard output;
 * ``mst verify --suite all`` at suite seeds 2024, 0, 3027 and 4036: every
   check residual;
-* ``tto_large`` ops 0-3, seed 1: the matrix.
+* ``tto_large`` ops 0-3, seed 1: the matrix;
+* ``demos/*.py``: standard output of each demo script, run in process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import io
 import math
 import os
+import runpy
 import sys
 
 # one BLAS thread, as in the benchmark, so every run takes the same path
@@ -105,7 +108,7 @@ def transport_items(result):
         yield "residual", repr(result)
 
 
-def digest(mst, workloads):
+def digest(mst, workloads, root):
     for seed in (1, 2, 3):
         workload = workloads.WORKLOADS["transport_small"](mst, seed)
         for k in range(48):
@@ -125,6 +128,11 @@ def digest(mst, workloads):
     workload = workloads.WORKLOADS["tto_large"](mst, 1)
     for k in range(4):
         print(f"tto_large/1/{k} {sha(workload.request(k).call().entries)}")
+    for path in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(path, run_name="__main__")
+        print(f"demos/{os.path.basename(path)} stdout {sha(out.getvalue())}")
 
 
 def main(argv=None) -> int:
@@ -135,9 +143,10 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=84)
     parser.add_argument("--seeds", default="1-10")
     args = parser.parse_args(argv)
-    mst, workloads = load(os.path.abspath(args.root))
+    root = os.path.abspath(args.root)
+    mst, workloads = load(root)
     if args.mode == "digest":
-        digest(mst, workloads)
+        digest(mst, workloads, root)
         return 0
     return 1 if scan(mst, workloads, args.workload, args.ops, seed_list(args.seeds)) else 0
 
