@@ -11,25 +11,23 @@ from mst import (
     BlaschkeProduct,
     RationalFn,
     build_space,
-    inner_product,
     monomial_factorization,
     multiplier_between,
     reproducing_kernels,
     unit_circle_samples,
 )
+from mst.blaschke import unimodularity_defect
 
 alpha = BlaschkeProduct((0.5, 1.0 / 3.0))
 zs = unit_circle_samples(32)
 print("degree:", alpha.degree)
-print("unimodular on the circle:", np.max(np.abs(np.abs(alpha(zs)) - 1.0)))
+print("unimodular on the circle:", unimodularity_defect(alpha))
 
 # --- the product factors through a monomial ---------------------------------
 # minus * z^n * plus with minus invertible conjugate-analytic and plus
 # invertible analytic; this is the engine behind every equivalence below.
-minus, n, plus = monomial_factorization(alpha)
-recombined = minus * RationalFn.monomial(n) * plus
 print("factorization reconstructs the product:",
-      np.max(np.abs(recombined(zs) - alpha(zs))))
+      monomial_factorization(alpha).reconstruction_defect(alpha))
 
 # --- the model space and its basis -------------------------------------------
 space = build_space(alpha)
@@ -41,8 +39,7 @@ print("gram matrix is the identity:", np.linalg.norm(gram - np.eye(space.dim)))
 lam = 0.2 - 0.1j
 pair = reproducing_kernels(space, lam)
 for k, e in enumerate(space.basis):
-    print(f"<e_{k}, k_lam> - e_{k}(lam) =",
-          abs(inner_product(e, pair.k) - complex(e(lam))))
+    print(f"<e_{k}, k_lam> - e_{k}(lam) =", pair.reproducing_defect(e))
 
 # --- projections --------------------------------------------------------------
 f = RationalFn.monomial(3) + RationalFn.monomial(-1)

@@ -33,11 +33,8 @@ print("determinant (a nonzero constant):", fact.det)
 # Apply to both basis monomials and compare with the dense inverse.
 direct = invert_direct(n, phi)
 print("direct inverse:\n", np.round(direct.entries.real, 10))
-for j in range(n):
-    column = tto_inverse_via_wh(n, phi, RationalFn.monomial(j), fact)
-    coords = direct.domain.coordinates(column)
-    print(f"formula column {j} matches:",
-          np.max(np.abs(coords - direct.entries[:, j])))
+for j, defect in enumerate(fact.inverse_column_defects(direct)):
+    print(f"formula column {j} matches:", defect)
 
 # --- the dichotomy -------------------------------------------------------------------
 # A symbol whose compression is singular admits no canonical factorization.

@@ -35,7 +35,7 @@ from .modelspace import (
     ModelSpace,
     NoMultiplierError,
     build_space,
-    crofoot_gram_defect,
+    crofoot_gram_check,
     crofoot_isometry_check,
     crofoot_multiplier,
     multiplier_between,

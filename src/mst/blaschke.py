@@ -13,7 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rational import CLUSTER_TOL, ComplexPoly, RationalFn, circle_conjugate, sup_on_circle
+from .rational import (
+    CLUSTER_TOL,
+    ComplexPoly,
+    RationalFn,
+    circle_conjugate,
+    circle_gap,
+    sup_on_circle,
+)
 
 __all__ = [
     "BlaschkeProduct",
@@ -24,6 +31,10 @@ __all__ = [
     "generalized_frostman_shift",
     "blaschke_gcd",
     "blaschke_quotient",
+    "unimodularity_defect",
+    "frostman_shift_defect",
+    "generalized_shift_factor_defect",
+    "gcd_quotient_defect",
 ]
 
 _ZERO_MARGIN = 1e-10
@@ -85,6 +96,11 @@ class MonomialFactorization(NamedTuple):
     power: int
     plus: RationalFn
 
+    def reconstruction_defect(self, b: BlaschkeProduct) -> float:
+        """Largest deviation of ``minus * z**power * plus`` from ``b``, the
+        product this factorization came from, over 32 circle points."""
+        return circle_gap(self.minus * RationalFn.monomial(self.power) * self.plus, b)
+
 
 def _match_multisets(a, b, tol):
     a = list(a)
@@ -132,6 +148,11 @@ def monomial_factorization(b: BlaschkeProduct) -> MonomialFactorization:
     return MonomialFactorization(minus, n, plus)
 
 
+def unimodularity_defect(f) -> float:
+    """Largest deviation of ``|f|`` from one over 32 circle points."""
+    return sup_on_circle(lambda z: np.abs(f(z)) - 1.0, 32)
+
+
 def frostman_shift(b: BlaschkeProduct, a: complex) -> BlaschkeProduct:
     """The shift ``(B - a) / (1 - conj(a) B)`` re-expressed with its zeros.
 
@@ -159,6 +180,12 @@ def frostman_shift(b: BlaschkeProduct, a: complex) -> BlaschkeProduct:
     return BlaschkeProduct(tuple(roots), constant)
 
 
+def frostman_shift_defect(b: BlaschkeProduct, a: complex, shifted: BlaschkeProduct) -> float:
+    """Largest deviation of ``shifted``, the product ``frostman_shift(b, a)``
+    returns, from ``(B - a) / (1 - conj(a) B)`` over 32 circle points."""
+    return circle_gap(shifted, lambda z: (b(z) - a) / (1.0 - np.conj(a) * b(z)))
+
+
 def generalized_frostman_shift(b: BlaschkeProduct, h: RationalFn):
     """Shift by a small analytic symbol ``h``: ``(B - hbar) / (1 - h B)``.
 
@@ -181,6 +208,15 @@ def generalized_frostman_shift(b: BlaschkeProduct, h: RationalFn):
     return shifted, minus, plus
 
 
+def generalized_shift_factor_defect(
+    b: BlaschkeProduct, shifted: RationalFn, minus: RationalFn, plus: RationalFn
+) -> float:
+    """Largest deviation of ``minus * B * plus`` from ``shifted`` over 32
+    circle points, for the triple :func:`generalized_frostman_shift`
+    returns."""
+    return circle_gap(minus * to_rational(b) * plus, shifted)
+
+
 def blaschke_gcd(b1: BlaschkeProduct, b2: BlaschkeProduct) -> BlaschkeProduct:
     """Zeros common to both factors (multiset intersection, clustered)."""
     matched, _ = _match_multisets(b1.zeros, b2.zeros, CLUSTER_TOL)
@@ -198,3 +234,9 @@ def blaschke_quotient(b: BlaschkeProduct, divisor: BlaschkeProduct) -> BlaschkeP
     remaining = tuple(z for j, z in enumerate(b.zeros) if j not in used)
     return BlaschkeProduct(remaining, b.constant / divisor.constant)
 
+
+def gcd_quotient_defect(b: BlaschkeProduct, g: BlaschkeProduct) -> float:
+    """Largest deviation of ``g * blaschke_quotient(b, g)`` from ``b`` over
+    32 circle points."""
+    q = blaschke_quotient(b, g)
+    return circle_gap(b, lambda z: g(z) * q(z))

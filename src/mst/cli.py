@@ -19,13 +19,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, to_rational
 from .dual import FormulaMismatch, dual_kernel
-from .modelspace import (
-    ZERO_SYMBOL_TOL,
-    ModelSpace,
-    _entries_vanish,
-    crofoot_defect_matrix,
-    crofoot_multiplier,
-)
+from .modelspace import ModelSpace, crofoot_gram_check, crofoot_multiplier
 from .operators import (
     NotEquivalentError,
     _relative_defect,
@@ -35,7 +29,7 @@ from .operators import (
     selfadjoint_residual,
     tto_matrix,
 )
-from .rational import ComplexPoly, RationalFn, circle_conjugate
+from .rational import ComplexPoly, RationalFn
 from .serialize import (
     SchemaError,
     blaschke_from_json,
@@ -372,13 +366,7 @@ def _cmd_crofoot(args):
     space = ModelSpace(_as_blaschke(args.space))
     w = _parse_complex(args.w)
     j, target = crofoot_multiplier(space, w)
-    # the Gram defect is minus the compression of 1 - |J|^2, so one matrix
-    # gives both the residual and the zero-symbol verdict
-    defect = crofoot_defect_matrix(space, j)
-    gram_residual = float(np.linalg.norm(defect))
-    vanishes = _entries_vanish(
-        defect, RationalFn.one() - j * circle_conjugate(j), ZERO_SYMBOL_TOL
-    )
+    gram_residual, vanishes = crofoot_gram_check(space, j)
     payload = {
         "multiplier": rational_to_json(j),
         "target": blaschke_to_json(target.inner),

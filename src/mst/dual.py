@@ -25,6 +25,7 @@ from .operators import _numeric_rank
 from .rational import (
     ComplexPoly,
     RationalFn,
+    antianalytic_residual,
     circle_conjugate,
     circle_node_count,
     fourier_block,
@@ -69,8 +70,7 @@ class ComplementElement:
 
     def __post_init__(self):
         space = ModelSpace(self.theta)
-        anti_split = riesz_project(self.antianalytic)
-        if norm2(anti_split.analytic) > SPLIT_TOL * (1.0 + norm2(self.antianalytic)):
+        if antianalytic_residual(self.antianalytic) > SPLIT_TOL * (1.0 + norm2(self.antianalytic)):
             raise ValueError("antianalytic part has nonnegative frequencies")
         ana_split = riesz_project(self.analytic)
         if norm2(ana_split.antianalytic) > SPLIT_TOL * (1.0 + norm2(self.analytic)):

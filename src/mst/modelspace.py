@@ -20,6 +20,7 @@ from .rational import (
     RationalFn,
     _pair_with_conjugate,
     circle_conjugate,
+    inner_product,
     norm2,
     sup_on_circle,
 )
@@ -31,9 +32,11 @@ __all__ = [
     "build_space",
     "reproducing_kernels",
     "multiplier_between",
+    "projection_transport_defect",
+    "annihilator_defect",
     "crofoot_multiplier",
     "crofoot_defect_matrix",
-    "crofoot_gram_defect",
+    "crofoot_gram_check",
     "crofoot_isometry_check",
 ]
 
@@ -164,6 +167,10 @@ class KernelPair:
     k_tilde: RationalFn
     point: complex
 
+    def reproducing_defect(self, f: RationalFn) -> float:
+        """``|<f, k> - f(point)|``, zero for every ``f`` in the space."""
+        return abs(inner_product(f, self.k) - complex(f(self.point)))
+
 
 def reproducing_kernels(space: ModelSpace, point: complex) -> KernelPair:
     """Kernel pair at ``point``:
@@ -205,6 +212,29 @@ def multiplier_between(source: ModelSpace, target: ModelSpace) -> RationalFn:
     )
 
 
+def projection_transport_defect(
+    source: ModelSpace, target: ModelSpace, a: RationalFn, f: RationalFn
+) -> float:
+    """Relative defect of the two projection identities of a multiplier
+    ``a`` from ``source`` onto ``target``, applied to ``f``:
+    ``P_target f = a P_source (a^-1 P_target f)`` and ``P_target f =
+    P_target (conj(a)^-1 P_source (conj(a) f))``.  The larger of the two
+    deviations, divided by ``1 + ||P_target f||``."""
+    lhs = target.project(f)
+    scale = 1.0 + norm2(lhs)
+    a_bar = circle_conjugate(a)
+    forward = norm2(a * source.project(a.inverse() * lhs) - lhs) / scale
+    rhs = target.project(a_bar.inverse() * source.project(a_bar * f))
+    return max(forward, norm2(rhs - lhs) / scale)
+
+
+def annihilator_defect(source: ModelSpace, a: RationalFn, g: RationalFn) -> float:
+    """``||P_source (conj(a) g)|| / (1 + ||g||)``: zero when ``g`` is
+    orthogonal to the target space of the multiplier ``a``, because
+    ``conj(a)`` carries that annihilator into the source's."""
+    return norm2(source.project(circle_conjugate(a) * g)) / (1.0 + norm2(g))
+
+
 def crofoot_multiplier(space: ModelSpace, w: complex):
     """Isometric multiplier ``sqrt(1 - |w|^2) / (1 - conj(w) B)`` onto the
     model space of the shifted product.  Returns ``(J, target_space)``."""
@@ -237,9 +267,14 @@ def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool
     return float(np.max(np.abs(entries))) < bound
 
 
-def crofoot_gram_defect(space: ModelSpace, j: RationalFn) -> float:
-    """Frobenius norm of :func:`crofoot_defect_matrix`."""
-    return float(np.linalg.norm(crofoot_defect_matrix(space, j)))
+def crofoot_gram_check(space: ModelSpace, j: RationalFn) -> tuple:
+    """``(residual, vanishes)`` from one :func:`crofoot_defect_matrix`: its
+    Frobenius norm, and the zero-symbol verdict on its entries for the
+    symbol ``1 - |j|^2`` at ``ZERO_SYMBOL_TOL`` (the defect matrix is minus
+    the compression of that symbol)."""
+    defect = crofoot_defect_matrix(space, j)
+    symbol = RationalFn.one() - j * circle_conjugate(j)
+    return float(np.linalg.norm(defect)), _entries_vanish(defect, symbol, ZERO_SYMBOL_TOL)
 
 
 def crofoot_isometry_check(b: BlaschkeProduct, h: RationalFn, k: complex) -> bool:
@@ -262,7 +297,5 @@ def crofoot_isometry_check(b: BlaschkeProduct, h: RationalFn, k: complex) -> boo
     if sup_on_circle(h) >= 1.0:
         raise ValueError("h must have sup norm < 1 (sampled estimate)")
     space = ModelSpace(b)
-    theta = space.rational
-    j = k * (RationalFn.one() - h * theta).inverse()
-    symbol = RationalFn.one() - j * circle_conjugate(j)
-    return _entries_vanish(crofoot_defect_matrix(space, j), symbol, ZERO_SYMBOL_TOL)
+    j = k * (RationalFn.one() - h * space.rational).inverse()
+    return crofoot_gram_check(space, j)[1]

@@ -33,6 +33,7 @@ __all__ = [
     "BrownHalmosCheck",
     "tto_matrix",
     "multiplication_matrix",
+    "multiplier_inverse_defect",
     "is_zero_symbol",
     "equivalence_transform",
     "brown_halmos_product",
@@ -116,6 +117,17 @@ def multiplication_matrix(
                 f"a * (basis element {j}) leaves the codomain (residual {residual:.3e})"
             )
     return OperatorMatrix(entries, domain, codomain)
+
+
+def multiplier_inverse_defect(domain: ModelSpace, codomain: ModelSpace, a: RationalFn) -> float:
+    """Largest entry deviation in the two inverse identities of a
+    multiplier ``a`` from ``domain`` onto ``codomain``: ``M_a M_{1/a} = I``,
+    and the compression of ``1/conj(a)`` equals ``(M_a^H)^-1``."""
+    m = multiplication_matrix(domain, codomain, a)
+    m_inv = multiplication_matrix(codomain, domain, a.inverse())
+    product = float(np.max(np.abs((m @ m_inv).entries - np.eye(domain.dim))))
+    t = tto_matrix(domain, codomain, circle_conjugate(a).inverse())
+    return max(product, float(np.max(np.abs(t.entries - np.linalg.inv(m.entries.conj().T)))))
 
 
 def is_zero_symbol(

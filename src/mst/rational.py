@@ -42,14 +42,19 @@ __all__ = [
     "FourierSplit",
     "circle_conjugate",
     "riesz_project",
+    "antianalytic_residual",
+    "riesz_selfadjoint_defect",
+    "involution_defect",
     "inner_product",
     "fourier_coefficient",
     "fourier_block",
+    "parseval_defect",
     "norm2",
     "equality_residual",
     "unit_circle_samples",
     "circle_node_count",
     "sup_on_circle",
+    "circle_gap",
 ]
 
 #: roots closer than this are treated as a single point (with multiplicity)
@@ -504,6 +509,12 @@ def circle_conjugate(f: RationalFn) -> RationalFn:
     return RationalFn(num_star, den_star * ComplexPoly.monomial(dn - dd))
 
 
+def involution_defect(f: RationalFn) -> float:
+    """Coefficient residual of ``circle_conjugate`` applied twice against
+    ``f``."""
+    return equality_residual(circle_conjugate(circle_conjugate(f)), f)
+
+
 @dataclass(frozen=True)
 class FourierSplit:
     """Analytic / anti-analytic decomposition of a rational function.
@@ -518,6 +529,18 @@ class FourierSplit:
 
     def reconstruct(self) -> RationalFn:
         return self.analytic + self.antianalytic
+
+    def reconstruction_defect(self, f: RationalFn) -> float:
+        """:func:`circle_gap` of :meth:`reconstruct` and ``f``, the function
+        this split came from."""
+        return circle_gap(self.reconstruct(), f)
+
+    def idempotence_defect(self) -> float:
+        """How far splitting ``analytic`` again moves it: the coefficient
+        residual of the new analytic half against it, or the norm of the new
+        anti-analytic half, whichever is larger."""
+        again = riesz_project(self.analytic)
+        return max(equality_residual(again.analytic, self.analytic), norm2(again.antianalytic))
 
 
 def riesz_project(f: RationalFn) -> FourierSplit:
@@ -580,6 +603,18 @@ def riesz_project(f: RationalFn) -> FourierSplit:
     w_part = ComplexPoly(sol[: dw + 1])
     a_part = ComplexPoly(sol[dw + 1 :])
     return FourierSplit(RationalFn(w_part, d_out), RationalFn(a_part, d_in))
+
+
+def antianalytic_residual(f: RationalFn) -> float:
+    """Norm of the analytic half of ``f``: zero exactly when ``f`` is
+    anti-analytic (strictly negative frequencies only)."""
+    return norm2(riesz_project(f).analytic)
+
+
+def riesz_selfadjoint_defect(f: RationalFn, g: RationalFn) -> float:
+    """``|<P f, g> - <f, P g>|`` for the analytic projection ``P``."""
+    lhs = inner_product(riesz_project(f).analytic, g)
+    return abs(lhs - inner_product(f, riesz_project(g).analytic))
 
 
 def _pair_with_conjugate(f: RationalFn, gbar: RationalFn) -> complex:
@@ -646,6 +681,13 @@ def fourier_block(f: RationalFn, nmax: int) -> np.ndarray:
     return out
 
 
+def parseval_defect(f: RationalFn, g: RationalFn, nmax: int) -> float:
+    """Deviation of the coefficient sum over ``|k| <= nmax`` (from
+    :func:`fourier_block`) from the residue pairing ``<f, g>``."""
+    total = np.sum(fourier_block(f, nmax) * np.conj(fourier_block(g, nmax)))
+    return float(abs(total - inner_product(f, g)))
+
+
 def norm2(f: RationalFn) -> float:
     """``L^2`` norm on the circle."""
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
@@ -681,3 +723,9 @@ def circle_node_count(points) -> int:
 def sup_on_circle(f: RationalFn, m: int = 256) -> float:
     """Sampled estimate of the sup norm on the circle (a guard, not a proof)."""
     return float(np.max(np.abs(f(unit_circle_samples(m)))))
+
+
+def circle_gap(f, g) -> float:
+    """Largest ``|f - g|`` over 32 circle points, for any two callables: the
+    sampled residual of an identity between functions."""
+    return sup_on_circle(lambda z: f(z) - g(z), 32)

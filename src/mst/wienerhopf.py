@@ -86,6 +86,25 @@ class MatrixFactorization:
                 worst = max(worst, float(np.max(np.abs(val - g[i][j](zs)))))
         return worst
 
+    def inverse_column_defects(self, direct: OperatorMatrix) -> np.ndarray:
+        """Per column ``j``, the largest deviation of the coordinates of the
+        formula inverse applied to ``z**j`` from column ``j`` of ``direct``,
+        the dense inverse from :func:`invert_direct`.  The formula projects
+        in ``direct.domain``."""
+        space = direct.domain
+        defects = np.zeros(self.n)
+        for j in range(self.n):
+            coords = space.coordinates(_apply_inverse(space, self, RationalFn.monomial(j)))
+            defects[j] = np.max(np.abs(coords - direct.entries[:, j]))
+        return defects
+
+
+def _as_symbol(phi) -> RationalFn:
+    """A scalar, ``ComplexPoly`` or ``RationalFn`` symbol as a ``RationalFn``."""
+    if isinstance(phi, RationalFn):
+        return phi
+    return RationalFn(phi if isinstance(phi, ComplexPoly) else ComplexPoly([phi]))
+
 
 def _laurent_data(phi: RationalFn):
     """Coefficients and offset of a Laurent polynomial; rejects true poles."""
@@ -160,8 +179,7 @@ def wiener_hopf_factorize(n: int, phi) -> MatrixFactorization:
     """
     if n < 1:
         raise ValueError("the monomial degree must be at least 1")
-    if not isinstance(phi, RationalFn):
-        phi = RationalFn(phi if isinstance(phi, ComplexPoly) else ComplexPoly([phi]))
+    phi = _as_symbol(phi)
     coeffs, lo = _laurent_data(phi)
     if coeffs.size:
         width = len(coeffs) - 1 - _valuation(phi.num)
@@ -224,26 +242,33 @@ def tto_inverse_via_wh(
 
     ``f`` must lie in the monomial model space (a polynomial of degree
     below ``n``).  The result ``g`` satisfies ``compression(phi) g = f`` up
-    to the module tolerance.
+    to the module tolerance.  A ``factorization`` passed in must be the one
+    of ``n`` and ``phi``; any other raises ``ValueError``.
     """
     if factorization is None:
         factorization = wiener_hopf_factorize(n, phi)
+    elif factorization.n != n or not factorization.phi.isclose(_as_symbol(phi)):
+        raise ValueError("the factorization belongs to a different degree or symbol")
     if f.den.degree != 0 or (not f.is_zero and f.num.degree >= n):
         raise ValueError("right-hand side must be a polynomial of degree below n")
+    return _apply_inverse(ModelSpace(BlaschkeProduct((0.0,) * n)), factorization, f)
+
+
+def _apply_inverse(space: ModelSpace, factorization: MatrixFactorization, f: RationalFn):
+    """The inverse formula on ``f``, projected in ``space``, the monomial
+    model space of degree ``factorization.n``."""
     g11_plus = RationalFn(factorization.g_plus_inv[0][0])
     g12_plus = RationalFn(factorization.g_plus_inv[0][1])
     g12_minus = factorization.g_minus_inv[0][1]
     g22_minus = factorization.g_minus_inv[1][1]
     term1 = g11_plus * riesz_project(g12_minus * f).analytic
     term2 = g12_plus * riesz_project(g22_minus * f).analytic
-    space = ModelSpace(BlaschkeProduct((0.0,) * n))
     return space.project(term1 + term2)
 
 
 def invert_direct(n: int, phi) -> OperatorMatrix:
     """Direct dense inverse of the compressed operator (the oracle)."""
-    if not isinstance(phi, RationalFn):
-        phi = RationalFn(phi if isinstance(phi, ComplexPoly) else ComplexPoly([phi]))
+    phi = _as_symbol(phi)
     space = ModelSpace(BlaschkeProduct((0.0,) * n))
     matrix = tto_matrix(space, space, phi)
     cond = np.linalg.cond(matrix.entries)

@@ -5,12 +5,17 @@ import pytest
 
 from mst.blaschke import (
     BlaschkeProduct,
+    MonomialFactorization,
     blaschke_gcd,
     blaschke_quotient,
     frostman_shift,
+    frostman_shift_defect,
+    gcd_quotient_defect,
     generalized_frostman_shift,
+    generalized_shift_factor_defect,
     monomial_factorization,
     to_rational,
+    unimodularity_defect,
 )
 from mst.rational import ComplexPoly, RationalFn, unit_circle_samples
 from mst.sampling import random_blaschke
@@ -30,8 +35,10 @@ class TestConstruction:
     def test_unimodular_on_circle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            b = random_blaschke(rng)
-            assert np.max(np.abs(np.abs(b(ZS)) - 1.0)) < 1e-10
+            assert unimodularity_defect(random_blaschke(rng)) < 1e-10
+
+    def test_unimodularity_defect_negative_control(self):
+        assert unimodularity_defect(1.01 * to_rational(BlaschkeProduct((0.5,)))) > 1e-3
 
 
 class TestToRational:
@@ -82,12 +89,14 @@ class TestMonomialFactorization:
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
-        zn = RationalFn.monomial(1)
         for _ in range(10):
             b = random_blaschke(rng)
-            minus, n, plus = monomial_factorization(b)
-            prod = minus * RationalFn.monomial(n) * plus
-            assert np.max(np.abs(prod(ZS) - b(ZS))) < 1e-10
+            assert monomial_factorization(b).reconstruction_defect(b) < 1e-10
+
+    def test_reconstruction_defect_negative_control(self):
+        b = BlaschkeProduct((0.5, 1.0 / 3.0))
+        minus, n, plus = monomial_factorization(b)
+        assert MonomialFactorization(minus, n, 1.01 * plus).reconstruction_defect(b) > 1e-3
 
 
 class TestFrostmanShift:
@@ -109,7 +118,7 @@ class TestFrostmanShift:
         shifted = frostman_shift(BlaschkeProduct((0.0, 0.0)), 0.25)
         got = sorted(shifted.zeros, key=lambda z: z.real)
         assert abs(got[0] + 0.5) < 1e-10 and abs(got[1] - 0.5) < 1e-10
-        assert np.max(np.abs(np.abs(shifted(ZS)) - 1.0)) < 1e-10
+        assert unimodularity_defect(shifted) < 1e-10
 
     def test_parameter_outside_disk_rejected(self):
         with pytest.raises(ValueError):
@@ -120,10 +129,11 @@ class TestFrostmanShift:
         for _ in range(20):
             b = random_blaschke(rng, max_degree=4)
             a = 0.8 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            shifted = frostman_shift(b, a)
-            bz = b(ZS)
-            target = (bz - a) / (1.0 - np.conj(a) * bz)
-            assert np.max(np.abs(shifted(ZS) - target)) < 1e-9
+            assert frostman_shift_defect(b, a, frostman_shift(b, a)) < 1e-9
+
+    def test_rational_identity_negative_control(self):
+        b = BlaschkeProduct((0.5, 1.0 / 3.0))
+        assert frostman_shift_defect(b, 0.3, frostman_shift(b, 0.31)) > 1e-3
 
 
 class TestGeneralizedFrostman:
@@ -153,9 +163,8 @@ class TestGeneralizedFrostman:
             ComplexPoly([-1.0, 0.0, 0.0, 2.0]), ComplexPoly([0.0, 2.0, 0.0, 0.0, -1.0])
         )
         assert shifted.isclose(expected, tol=1e-10)
-        assert np.max(np.abs(np.abs(shifted(ZS)) - 1.0)) < 1e-9
-        prod = minus * to_rational(b) * plus
-        assert np.max(np.abs(prod(ZS) - shifted(ZS))) < 1e-9
+        assert unimodularity_defect(shifted) < 1e-9
+        assert generalized_shift_factor_defect(b, shifted, minus, plus) < 1e-9
 
     def test_factor_identity_random(self):
         rng = np.random.default_rng(13)
@@ -164,9 +173,13 @@ class TestGeneralizedFrostman:
             coeffs = 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
             h = RationalFn(ComplexPoly(coeffs))
             shifted, minus, plus = generalized_frostman_shift(b, h)
-            assert np.max(np.abs(np.abs(shifted(ZS)) - 1.0)) < 1e-9
-            prod = minus * to_rational(b) * plus
-            assert np.max(np.abs(prod(ZS) - shifted(ZS))) < 1e-9
+            assert unimodularity_defect(shifted) < 1e-9
+            assert generalized_shift_factor_defect(b, shifted, minus, plus) < 1e-9
+
+    def test_factor_defect_negative_control(self):
+        b = BlaschkeProduct((0.0, 0.0))
+        shifted, minus, plus = generalized_frostman_shift(b, RationalFn(ComplexPoly([0.0, 0.5])))
+        assert generalized_shift_factor_defect(b, shifted, minus, 1.01 * plus) > 1e-3
 
     def test_large_symbol_rejected(self):
         with pytest.raises(ValueError):
@@ -203,4 +216,12 @@ class TestGcd:
                 q = blaschke_quotient(b, g)
                 assert q.degree == b.degree - 2
                 assert all(abs(z) < 1.0 for z in q.zeros)
+                assert gcd_quotient_defect(b, g) < 1e-9
+
+    def test_gcd_quotient_defect_negative_control(self):
+        # a divisor zero 5e-9 off still matches within CLUSTER_TOL, but the
+        # rebuilt product is off by about as much
+        b = BlaschkeProduct((0.5, -0.3j, 0.1))
+        off = BlaschkeProduct((0.5 + 5e-9, -0.3j))
+        assert gcd_quotient_defect(b, off) > 1e-9
 

@@ -267,3 +267,54 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "0.0+0.0i,0.0+0.0i"
         assert lines[1] == "1.0+0.0i,0.0+0.0i"
+
+
+# Every check of ``mst verify --suite all``, in output order: (suite, name,
+# tolerance, direction).  The benchmark's verify workload and readers of the
+# JSON select checks by these fields, so a change here is a change of the
+# output format.
+VERIFY_CHECKS = [
+    ("rational", "riesz reconstruction on circle samples", 1e-10, "below"),
+    ("rational", "riesz idempotence (coefficient residual)", 1e-12, "below"),
+    ("rational", "riesz self-adjointness", 1e-10, "below"),
+    ("rational", "parseval cross-check", 1e-10, "below"),
+    ("rational", "circle involution squared", 1e-12, "below"),
+    ("blaschke", "frostman shift pointwise identity", 1e-9, "below"),
+    ("blaschke", "monomial factorization reconstruction", 1e-10, "below"),
+    ("blaschke", "generalized shift unimodularity", 1e-9, "below"),
+    ("blaschke", "generalized shift factor identity", 1e-9, "below"),
+    ("blaschke", "gcd times quotient reconstruction", 1e-9, "below"),
+    ("model", "projection transport identities", 1e-9, "below"),
+    ("model", "annihilator duality", 1e-9, "below"),
+    ("model", "crofoot image gram identity", 1e-9, "below"),
+    ("model", "reproducing property", 1e-9, "below"),
+    ("model", "multiplier root margin outside the disk", 0.0, "above"),
+    ("operators", "equivalence identity (random instances)", 1e-9, "below"),
+    ("operators", "equivalence factor condition numbers", 1e8, "below"),
+    ("operators", "kernel transport subspace angle", 1e-7, "below"),
+    ("operators", "multiplier inverse transport", 1e-9, "below"),
+    ("operators", "complex selfadjointness of compressions", 1e-9, "below"),
+    ("operators", "product splitting residual", 1e-9, "below"),
+    ("operators", "unitary criterion agreement", 0.5, "below"),
+    ("dual", "dual symbol uniqueness probes", 0.5, "below"),
+    ("dual", "dual kernel dimension table", 0.5, "below"),
+    ("dual", "dual kernel membership residuals", 1e-9, "below"),
+    ("dual", "dual transport residual", 1e-8, "below"),
+    ("dual", "dual transport negative control", 1e-3, "above"),
+    ("dual", "hankel rank monotone and stable", 0.5, "below"),
+    ("wh", "factorization recombination", 1e-9, "below"),
+    ("wh", "formula inverse vs direct inverse", 1e-8, "below"),
+    ("wh", "factorization/invertibility dichotomy", 0.5, "below"),
+]
+
+
+def test_verify_all_check_table(capsys):
+    assert run_command(["verify", "--suite", "all"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = [
+        (suite["suite"], c["name"], c["tolerance"], c["direction"])
+        for suite in doc["suites"]
+        for c in suite["checks"]
+    ]
+    assert got == VERIFY_CHECKS
+    assert doc["passed"] and all(c["passed"] for s in doc["suites"] for c in s["checks"])

@@ -6,12 +6,14 @@ import pytest
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
     NoMultiplierError,
+    annihilator_defect,
     build_space,
     crofoot_defect_matrix,
-    crofoot_gram_defect,
+    crofoot_gram_check,
     crofoot_isometry_check,
     crofoot_multiplier,
     multiplier_between,
+    projection_transport_defect,
     reproducing_kernels,
 )
 from mst.operators import tto_matrix
@@ -107,13 +109,19 @@ class TestReproducingKernels:
                 assert space.membership_residual(pair.k) < 1e-9
                 assert space.membership_residual(pair.k_tilde) < 1e-9
                 for f in space.basis:
-                    assert abs(inner_product(f, pair.k) - complex(f(lam))) < 1e-9
+                    assert pair.reproducing_defect(f) < 1e-9
+
+    def test_reproducing_defect_negative_control(self):
+        # theta is orthogonal to the space, so <theta, k> = 0 != theta(lam)
+        space = build_space(ALPHA)
+        pair = reproducing_kernels(space, 0.2 - 0.1j)
+        assert pair.reproducing_defect(space.rational) > 1e-3
 
     def test_boundary_point(self):
         space = build_space(ALPHA)
         pair = reproducing_kernels(space, 1.0)
         assert space.membership_residual(pair.k) < 1e-8
-        assert abs(inner_product(space.basis[0], pair.k) - complex(space.basis[0](1.0))) < 1e-8
+        assert pair.reproducing_defect(space.basis[0]) < 1e-8
 
 
 class TestProjection:
@@ -198,16 +206,14 @@ class TestMultiplier:
             src = build_space(random_blaschke(rng, degree=d))
             dst = build_space(random_blaschke(rng, degree=d))
             a = multiplier_between(src, dst)
-            a_inv = a.inverse()
-            a_bar = circle_conjugate(a)
-            a_bar_inv = a_bar.inverse()
             for _ in range(10):
-                f = random_rational(rng)
-                lhs = dst.project(f)
-                mid = a * src.project(a_inv * lhs)
-                rhs = dst.project(a_bar_inv * src.project(a_bar * f))
-                assert norm2(mid - lhs) < 1e-9 * (1.0 + norm2(lhs))
-                assert norm2(rhs - lhs) < 1e-9 * (1.0 + norm2(lhs))
+                assert projection_transport_defect(src, dst, a, random_rational(rng)) < 1e-9
+
+    def test_projection_transport_negative_control(self):
+        # a * (1 + z/2) carries the source into no model space at all
+        src, dst = build_space(Z2), build_space(ALPHA)
+        a = multiplier_between(src, dst) * (ONE + 0.5 * Z)
+        assert projection_transport_defect(src, dst, a, ONE + Z) > 1e-3
 
     def test_annihilator_duality(self):
         # conj(a) maps the target's annihilator into the source's
@@ -215,7 +221,6 @@ class TestMultiplier:
         src = build_space(random_blaschke(rng, degree=2))
         dst = build_space(random_blaschke(rng, degree=2))
         a = multiplier_between(src, dst)
-        a_bar = circle_conjugate(a)
         theta_dst = dst.rational
         for _ in range(10):
             analytic_tail = RationalFn(ComplexPoly(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
@@ -225,7 +230,9 @@ class TestMultiplier:
             )
             anti = anti - riesz_project(anti).analytic  # keep strictly negative part
             g = theta_dst * analytic_tail + anti
-            assert norm2(src.project(a_bar * g)) < 1e-9 * (1.0 + norm2(g))
+            assert annihilator_defect(src, a, g) < 1e-9
+        # negative control: a basis element of the target is no annihilator
+        assert annihilator_defect(src, a, dst.basis[0]) > 1e-3
 
 
 class TestCrofoot:
@@ -248,11 +255,9 @@ class TestCrofoot:
             space = build_space(random_blaschke(rng, degree=degree))
             w = 0.8 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             j, target = crofoot_multiplier(space, w)
-            images = [j * e for e in space.basis]
-            gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
-            assert np.linalg.norm(gram - np.eye(degree)) < 1e-9
-            for u in images:
-                assert target.contains(u)
+            assert crofoot_gram_check(space, j)[0] < 1e-9
+            for e in space.basis:
+                assert target.contains(j * e)
 
     def test_parameter_outside_disk(self):
         with pytest.raises(ValueError):
@@ -268,7 +273,15 @@ class TestCrofoot:
             defect = crofoot_defect_matrix(space, j)
             symbol = ONE - j * circle_conjugate(j)
             assert np.max(np.abs(defect + tto_matrix(space, space, symbol).entries)) < 1e-12
-            assert crofoot_gram_defect(space, j) == float(np.linalg.norm(defect))
+            residual, vanishes = crofoot_gram_check(space, j)
+            assert residual == float(np.linalg.norm(defect)) and vanishes
+
+    def test_gram_check_negative_control(self):
+        # 2 J doubles every image norm
+        space = build_space(ALPHA)
+        j, _ = crofoot_multiplier(space, 0.3 - 0.2j)
+        residual, vanishes = crofoot_gram_check(space, 2.0 * j)
+        assert residual > 1.0 and not vanishes
 
 
 class TestCrofootIsometryCheck:

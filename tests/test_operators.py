@@ -9,6 +9,7 @@ from mst.modelspace import (
     crofoot_multiplier,
     multiplier_between,
 )
+import mst.operators
 from mst.operators import (
     MultiplierRangeViolation,
     NotEquivalentError,
@@ -21,6 +22,7 @@ from mst.operators import (
     is_zero_symbol,
     kernel_and_range,
     multiplication_matrix,
+    multiplier_inverse_defect,
     pullback_compatibility_defect,
     rank_equivalence,
     subspace_angle,
@@ -86,9 +88,9 @@ class TestMultiplicationMatrix:
         assert np.max(np.abs(m.entries - np.eye(2))) < 1e-12
 
     def test_inverse_pair_example(self):
+        assert multiplier_inverse_defect(K_Z2, K_ALPHA, A_MULT) < 1e-9
         m = multiplication_matrix(K_Z2, K_ALPHA, A_MULT)
         m_inv = multiplication_matrix(K_ALPHA, K_Z2, A_MULT.inverse())
-        assert np.max(np.abs((m @ m_inv).entries - np.eye(2))) < 1e-9
         assert np.max(np.abs((m_inv @ m).entries - np.eye(2))) < 1e-9
 
     def test_embedding_column(self):
@@ -109,10 +111,19 @@ class TestMultiplicationMatrix:
             src = build_space(random_blaschke(rng, degree=d))
             dst = build_space(random_blaschke(rng, degree=d))
             a = multiplier_between(src, dst)
-            m = multiplication_matrix(src, dst, a)
-            t = tto_matrix(src, dst, circle_conjugate(a).inverse())
-            expected = np.linalg.inv(m.entries.conj().T)
-            assert np.max(np.abs(t.entries - expected)) < 1e-9
+            assert multiplier_inverse_defect(src, dst, a) < 1e-9
+
+    def test_inverse_defect_negative_control(self, monkeypatch):
+        # a compression off by 1e-3 in one entry breaks the adjoint identity
+        exact = mst.operators.tto_matrix
+
+        def perturbed(domain, codomain, symbol):
+            out = exact(domain, codomain, symbol)
+            out.entries[0, 0] += 1e-3
+            return out
+
+        monkeypatch.setattr(mst.operators, "tto_matrix", perturbed)
+        assert multiplier_inverse_defect(K_Z2, K_ALPHA, A_MULT) > 5e-4
 
 
 class TestZeroSymbol:

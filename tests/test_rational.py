@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+import mst.rational
 from mst.rational import (
     MAX_CIRCLE_NODES,
     _horner,
@@ -11,14 +12,18 @@ from mst.rational import (
     fourier_block,
     CirclePoleError,
     ComplexPoly,
+    FourierSplit,
     RationalFn,
+    antianalytic_residual,
     circle_conjugate,
     circle_node_count,
-    equality_residual,
     fourier_coefficient,
     inner_product,
+    involution_defect,
     norm2,
+    parseval_defect,
     riesz_project,
+    riesz_selfadjoint_defect,
     unit_circle_samples,
 )
 from mst.sampling import random_rational
@@ -85,8 +90,13 @@ class TestCircleConjugate:
     def test_involution_on_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            f = random_rational(rng)
-            assert equality_residual(circle_conjugate(circle_conjugate(f)), f) < 1e-12
+            assert involution_defect(random_rational(rng)) < 1e-12
+
+    def test_involution_defect_negative_control(self, monkeypatch):
+        # a conjugation off by a factor 1.001 no longer squares to the identity
+        exact = mst.rational.circle_conjugate
+        monkeypatch.setattr(mst.rational, "circle_conjugate", lambda f: 1.001 * exact(f))
+        assert involution_defect(rat([1.0], [1.0, -0.5])) > 1e-3
 
 
 class TestRieszProjection:
@@ -115,24 +125,46 @@ class TestRieszProjection:
 
     def test_reconstruction_and_idempotence(self):
         rng = np.random.default_rng(11)
-        zs = unit_circle_samples(32)
         for _ in range(100):
             f = random_rational(rng)
             split = riesz_project(f)
-            total = split.reconstruct()
-            assert np.max(np.abs(total(zs) - f(zs))) < 1e-10
-            again = riesz_project(split.analytic)
-            assert equality_residual(again.analytic, split.analytic) < 1e-12
-            assert again.antianalytic.is_zero
+            assert split.reconstruction_defect(f) < 1e-10
+            assert split.idempotence_defect() < 1e-12
+            assert riesz_project(split.analytic).antianalytic.is_zero
+
+    def test_split_defects_negative_control(self):
+        f = rat([1.0], [-2.0, 1.0]) + RationalFn.monomial(-1)
+        split = riesz_project(f)
+        # a split with 0.01 z added no longer adds up to f
+        shifted = FourierSplit(split.analytic + 0.01 * Z, split.antianalytic)
+        assert shifted.reconstruction_defect(f) > 1e-3
+        # an "analytic" half with a pole inside moves when split again
+        assert FourierSplit(f, RationalFn.zero()).idempotence_defect() > 0.5
+
+    def test_antianalytic_residual(self):
+        assert antianalytic_residual(rat([1.0], [-0.5, 1.0])) < 1e-12
+        # negative control: a constant 0.01 is analytic content
+        assert antianalytic_residual(rat([1.0], [-0.5, 1.0]) + 0.01) > 1e-3
 
     def test_selfadjoint(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
             f = random_rational(rng)
             g = random_rational(rng)
-            lhs = inner_product(riesz_project(f).analytic, g)
-            rhs = inner_product(f, riesz_project(g).analytic)
-            assert abs(lhs - rhs) < 1e-10
+            assert riesz_selfadjoint_defect(f, g) < 1e-10
+
+    def test_selfadjoint_negative_control(self, monkeypatch):
+        # a projection that adds 0.5 to the analytic half of f (and of no
+        # other function, the pairings included) is no longer selfadjoint
+        f = ONE + Z
+        exact = mst.rational.riesz_project
+
+        def perturbed(h):
+            split = exact(h)
+            return FourierSplit(split.analytic + 0.5, split.antianalytic) if h is f else split
+
+        monkeypatch.setattr(mst.rational, "riesz_project", perturbed)
+        assert riesz_selfadjoint_defect(f, ONE) > 0.4
 
 
 class TestInnerProduct:
@@ -168,14 +200,17 @@ class TestInnerProduct:
             f = random_rational(rng)
             g = random_rational(rng)
             fb = fourier_block(f, n_max)
-            gb = fourier_block(g, n_max)
             # independent oracle for single coefficients: the raw monomial pairing
             for n in range(-6, 7):
                 direct = inner_product(f, RationalFn.monomial(n))
                 assert abs(fb[n_max + n] - direct) < 1e-12
                 assert abs(fourier_coefficient(f, n) - direct) < 1e-12
-            total = np.sum(fb * np.conj(gb))
-            assert abs(total - inner_product(f, g)) < 1e-10
+            assert parseval_defect(f, g, n_max) < 1e-10
+
+    def test_parseval_defect_negative_control(self):
+        # |n| <= 2 misses sum_{k > 2} 0.81^k of ||1 / (1 - 0.9 z)||^2
+        f = rat([1.0], [1.0, -0.9])
+        assert parseval_defect(f, f, 2) > 1.0
 
 
 class TestFourierCoefficients:

@@ -5,7 +5,7 @@ import pytest
 
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import build_space, multiplier_between
-from mst.operators import equivalence_transform, tto_matrix
+from mst.operators import OperatorMatrix, equivalence_transform, tto_matrix
 from mst.rational import (
     ComplexPoly,
     RationalFn,
@@ -96,6 +96,22 @@ class TestInverseFormula:
         with pytest.raises(ValueError):
             tto_inverse_via_wh(1, ONE, Z)
 
+    def test_rejects_mismatched_factorization(self):
+        # the compression of (1 + z^2/2)/z on K_{z^3} is singular, so a
+        # factorization of another degree and symbol must not answer for it
+        phi = (ONE + 0.5 * RationalFn.monomial(2)) * RationalFn.monomial(-1)
+        rhs = ONE + Z + RationalFn.monomial(2)
+        other = wiener_hopf_factorize(2, 2.0 + 0.3 * Z)
+        with pytest.raises(ValueError):
+            tto_inverse_via_wh(3, phi, rhs, other)
+        with pytest.raises(NoCanonicalFactorization):
+            tto_inverse_via_wh(3, phi, rhs)
+        with pytest.raises(ValueError):
+            tto_inverse_via_wh(2, ONE + 0.3 * Z, ONE, other)
+        assert tto_inverse_via_wh(2, 2.0 + 0.3 * Z, ONE, other).isclose(
+            tto_inverse_via_wh(2, 2.0 + 0.3 * Z, ONE)
+        )
+
     def test_oracle_agreement(self):
         rng = np.random.default_rng(5)
         checked = 0
@@ -110,11 +126,15 @@ class TestInverseFormula:
                 continue
             fact = wiener_hopf_factorize(n, phi)
             checked += 1
-            for j in range(n):
-                rhs = RationalFn.monomial(j)
-                via_formula = tto_inverse_via_wh(n, phi, rhs, fact)
-                coords = direct.domain.coordinates(via_formula)
-                assert np.max(np.abs(coords - direct.entries[:, j])) < 1e-8
+            assert np.max(fact.inverse_column_defects(direct)) < 1e-8
+
+    def test_inverse_column_defects_negative_control(self):
+        phi = ONE + (5.0 / 6.0) * Z
+        fact = wiener_hopf_factorize(2, phi)
+        direct = invert_direct(2, phi)
+        assert np.max(fact.inverse_column_defects(direct)) < 1e-8
+        off = OperatorMatrix(direct.entries + 1e-3, direct.domain, direct.codomain)
+        assert np.min(fact.inverse_column_defects(off)) > 5e-4
 
 
 class TestDirectInverse:
