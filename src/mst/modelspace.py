@@ -4,8 +4,11 @@ The model space attached to a finite Blaschke product ``B`` is the
 orthogonal complement of ``B * H^2`` inside the Hardy space; its dimension
 equals the degree of ``B``.  The cached orthonormal basis is the
 Takenaka-Malmquist family built from partial products over the zeros in
-constructor order, so every basis element is an explicit rational function
-and all projections reduce to exact pairings.
+constructor order, so every basis element is an explicit rational function.
+Coordinates come from the generalized backward shift: one Riesz split gives
+``g_0 = P_+ f``, then ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and ``g_{k+1} =
+P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator, so a
+projection costs one split instead of one exact pairing per basis element.
 """
 
 from __future__ import annotations
@@ -13,15 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .blaschke import BlaschkeProduct, _denominator_poly, frostman_shift, to_rational
 from .rational import (
     ComplexPoly,
     RationalFn,
+    _deflate,
     _pair_with_conjugate,
     circle_conjugate,
     inner_product,
     norm2,
+    riesz_project,
     sup_on_circle,
 )
 
@@ -83,7 +89,6 @@ class ModelSpace:
             tail_num = tail_num * ComplexPoly([-a, 1.0])
         self.basis = tuple(basis)
         self.dim = n
-        self._conj_basis = tuple(circle_conjugate(e) for e in self.basis)
         # Every element of the space is a polynomial of degree < n over the
         # full denominator; cofactors lift each basis numerator to it.  This
         # keeps linear combinations in a single reduced fraction instead of
@@ -110,8 +115,31 @@ class ModelSpace:
         return out
 
     def coordinates(self, f: RationalFn) -> np.ndarray:
-        """Pairings of ``f`` against the basis (the coordinates of ``P f``)."""
-        return np.array([_pair_with_conjugate(f, eb) for eb in self._conj_basis])
+        """Coordinates ``<f, e_k>`` of ``P f``, by the generalized backward
+        shift: one Riesz split of ``f``, then one deflation per zero.
+
+        With ``g_0 = P_+ f``, ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and
+        ``g_{k+1} = P_+(conj(b_{a_k}) g_k) = (g_k(z) (1 - conj(a_k) z) -
+        (1 - |a_k|^2) g_k(a_k)) / (z - a_k)``.  Every ``g_k`` keeps the
+        outside-pole denominator of ``g_0``, so a step only updates the
+        numerator and divides it by ``z - a_k`` (``rational._deflate``).
+        """
+        coords = np.zeros(self.dim, dtype=complex)
+        g = riesz_project(f).analytic if self.dim else RationalFn.zero()
+        if g.is_zero:
+            return coords
+        num, den = g.num.coeffs, g.den.coeffs
+        den_at_zeros = npp.polyval(np.array(self.inner.zeros, dtype=complex), den)
+        for k, a in enumerate(self.inner.zeros):
+            weight2 = 1.0 - abs(a) ** 2
+            value = npp.polyval(a, num) / den_at_zeros[k]
+            coords[k] = np.sqrt(weight2) * value
+            step = np.zeros(max(len(num) + 1, len(den)), dtype=complex)
+            step[: len(num)] += num
+            step[1 : len(num) + 1] -= np.conj(a) * num
+            step[: len(den)] -= (weight2 * value) * den
+            num = _deflate(step, a)
+        return coords
 
     def from_coordinates(self, coords) -> RationalFn:
         num = ComplexPoly()
@@ -129,8 +157,8 @@ class ModelSpace:
         return f - self.project(f)
 
     def _coordinates_and_residual(self, f: RationalFn):
-        """``coordinates(f)`` and ``membership_residual(f)`` from one set of
-        pairings."""
+        """``coordinates(f)`` and ``membership_residual(f)`` from one
+        coordinate pass."""
         coords = self.coordinates(f)
         return coords, norm2(f - self.from_coordinates(coords)) / (1.0 + norm2(f))
 

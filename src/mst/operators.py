@@ -96,7 +96,7 @@ def tto_matrix(domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn) -> 
 
 def _image_columns(domain: ModelSpace, codomain: ModelSpace, a: RationalFn):
     """The compression of ``a`` and, per column, the membership residual of
-    ``a * e_j`` in the codomain, both from one pairing pass."""
+    ``a * e_j`` in the codomain, both from one coordinate pass."""
     entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
     residuals = np.zeros(domain.dim)
     for j, e in enumerate(domain.basis):
@@ -195,8 +195,8 @@ def equivalence_transform(
     ``e_j / conj(a2)`` against ``e_i``, which is the adjoint of
     multiplication by ``1/a2`` from the alpha-space to the gamma-space:
     ``E = solve(L_gamma, L_alpha)^H``.  Both compressions of the symbols stay
-    on the exact pairings, so ``residual`` checks the closed form
-    independently; they are returned as ``A`` and ``B``.
+    exact (:meth:`ModelSpace.coordinates`), so ``residual`` checks the closed
+    form independently; they are returned as ``A`` and ``B``.
     """
     k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
     k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
@@ -233,8 +233,8 @@ def brown_halmos_product(
     The checkable hypothesis is ``phi * k1 rest mid``: every ``phi * e_j``
     has a membership residual in ``mid`` below ``MEMBERSHIP_TOL``.  Under it
     the product of the two compressions reproduces the compression of the
-    product.  One pairing pass of ``phi * e_j`` against the basis of ``mid``
-    gives both the right factor and those residuals.
+    product.  One coordinate pass of ``phi * e_j`` in ``mid`` gives both the
+    right factor and those residuals.
     """
     product = tto_matrix(k1, k2, psi * phi).entries
     left = tto_matrix(mid, k2, psi).entries

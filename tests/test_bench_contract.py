@@ -47,12 +47,14 @@ def test_tracer_installs_and_removes():
         assert len(tracer.patches) >= len(originals)
         traced = transport()
         assert mst.cli.run_command(["verify", "--suite", "blaschke"]) == 0
+        # coordinates do not pair; a norm still runs the exact pairing
+        assert mst.norm2(mst.RationalFn.monomial(1)) > 0.0
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original
     assert not tracer.patches
     assert np.array_equal(traced.E.entries, untraced.E.entries)
     assert np.array_equal(traced.F.entries, untraced.F.entries)
     for name in ("operators.equivalence_transform", "modelspace.multiplier_between",
-                 "operators.tto_matrix", "modelspace.ModelSpace", "rational.pair",
-                 "cli.run_command", "verify.run_suite"):
+                 "operators.tto_matrix", "modelspace.ModelSpace", "modelspace.coordinates",
+                 "rational.pair", "cli.run_command", "verify.run_suite"):
         assert recorder.calls.get(name, 0) > 0, name

@@ -159,6 +159,73 @@ class TestProjection:
             assert abs(inner_product(pf, g) - inner_product(f, space.project(g))) < 1e-9 * scale
 
 
+# f with two inside poles, two outside poles and a polynomial part
+MIXED = RationalFn(
+    ComplexPoly([1.0, -0.5j, 0.25, 2.0 - 1.0j, 0.3, -0.7j]),
+    ComplexPoly.from_roots([0.5j, -0.3 + 0.1j, 1.8, -2.5j]),
+)
+COORDINATE_SPACES = (
+    (0.5, THIRD),
+    (0.0, 0.6 - 0.2j, -0.4j),  # a zero at the origin
+    (0.3 + 0.4j, 0.3 + 0.4j, -0.7, 0.0, 0.0),  # repeated zeros
+)
+# 32 distinct zeros of modulus at most 0.8
+_RADIUS, _TURN = np.random.default_rng(2011).uniform(0.0, 1.0, (2, 32))
+ZEROS_32 = tuple(0.8 * np.sqrt(_RADIUS) * np.exp(2j * np.pi * _TURN))
+
+
+def trapezoid_tto(zeros, symbol, nodes=1024):
+    """``<symbol e_j, e_i>`` by the trapezoidal rule, on basis values from
+    the product formula for ``e_k``."""
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    values = []
+    tail = np.ones(nodes, dtype=complex)
+    for a in zeros:
+        outer = 1.0 - np.conj(a) * z
+        values.append(np.sqrt(1.0 - abs(a) ** 2) / outer * tail)
+        tail = tail * (z - a) / outer
+    e = np.array(values)
+    return (np.conj(e) * symbol(z)) @ e.T / nodes
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("zeros", COORDINATE_SPACES)
+    @pytest.mark.parametrize(
+        "f",
+        (
+            MIXED,
+            RationalFn(ComplexPoly([1.0, 0.0, 1.0]), ComplexPoly([-0.4j, 1.0])),
+            RationalFn(ComplexPoly([2.0, 1.0]), ComplexPoly([-1.5, 1.0])),
+            RationalFn.monomial(3) + 2.0,
+        ),
+        ids=("mixed", "inside-pole", "outside-pole", "polynomial"),
+    )
+    def test_matches_exact_pairings(self, zeros, f):
+        space = build_space(BlaschkeProduct(zeros))
+        pairings = np.array([inner_product(f, e) for e in space.basis])
+        assert np.max(np.abs(space.coordinates(f) - pairings)) < 1e-12 * (1.0 + norm2(f))
+
+    def test_zero_function_and_zero_space(self):
+        space = build_space(BlaschkeProduct(COORDINATE_SPACES[2]))
+        coords = space.coordinates(RationalFn.zero())
+        assert coords.shape == (5,) and not np.any(coords)
+        assert build_space(BlaschkeProduct(())).coordinates(MIXED).shape == (0,)
+
+    def test_tto_matrix_against_trapezoid_at_32(self):
+        space = build_space(BlaschkeProduct(ZEROS_32))
+        entries = tto_matrix(space, space, MIXED).entries
+        reference = trapezoid_tto(ZEROS_32, MIXED)
+        assert np.max(np.abs(entries - reference)) < 1e-11 * (1.0 + np.max(np.abs(reference)))
+
+    def test_trapezoid_catches_a_wrong_zero(self, monkeypatch):
+        space = build_space(BlaschkeProduct(ZEROS_32))
+        moved = ZEROS_32[:20] + (ZEROS_32[20] + 1e-6,) + ZEROS_32[21:]
+        monkeypatch.setattr(space, "inner", BlaschkeProduct(moved))
+        entries = tto_matrix(space, space, MIXED).entries
+        reference = trapezoid_tto(ZEROS_32, MIXED)
+        assert np.max(np.abs(entries - reference)) > 1e-9
+
+
 class TestMultiplier:
     def test_monomial_to_alpha(self):
         a = multiplier_between(build_space(Z2), build_space(ALPHA))
