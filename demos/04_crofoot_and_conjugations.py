@@ -15,10 +15,10 @@ from mst import (
     circle_conjugate,
     conjugation_matrix,
     conjugation_pullback,
+    crofoot_gram_check,
     crofoot_isometry_check,
     crofoot_multiplier,
     frostman_shift,
-    inner_product,
     is_complex_selfadjoint,
     is_zero_symbol,
     multiplication_matrix,
@@ -35,10 +35,7 @@ shifted = frostman_shift(theta, w)
 print("shifted zeros:", np.round(shifted.zeros, 6))
 
 j, target = crofoot_multiplier(space, w)
-images = [j * e for e in space.basis]
-gram = np.array([[inner_product(u, v) for v in images] for u in images]).T
-print("gram of the image basis is the identity:",
-      np.linalg.norm(gram - np.eye(space.dim)))
+print("gram of the image basis is the identity:", crofoot_gram_check(space, j)[0])
 
 # The operator criterion: 1 - |J|^2 compresses to zero exactly when the
 # multiplier is isometric.  Scaling J breaks both at once.

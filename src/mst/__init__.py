@@ -24,7 +24,6 @@ from .blaschke import (
 from .dual import (
     ComplementElement,
     DualKernel,
-    FormulaMismatch,
     dual_apply,
     dual_equivalence,
     dual_kernel,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .blaschke import BlaschkeProduct, to_rational
-from .dual import FormulaMismatch, dual_kernel
+from .dual import MEMBER_TOL, dual_kernel
 from .modelspace import ModelSpace, crofoot_gram_check, crofoot_multiplier
 from .operators import (
     NotEquivalentError,
@@ -321,10 +321,11 @@ def _cmd_equiv(args):
 def _cmd_dual_kernel(args):
     theta = _as_blaschke(args.theta)
     alpha = _as_blaschke(args.alpha)
-    try:
-        result = dual_kernel(theta, alpha)
-    except FormulaMismatch as exc:
-        return {"status": "formula-mismatch", "detail": str(exc)}, None, EXIT_VERIFY
+    result = dual_kernel(theta, alpha)
+    defect = result.membership_defect()
+    if not defect < MEMBER_TOL:
+        detail = f"kernel membership defect {defect!r} is not below {MEMBER_TOL!r}"
+        return {"status": "formula-mismatch", "detail": detail}, None, EXIT_VERIFY
     payload = {
         "dim": result.dim,
         "k": result.k,

@@ -2,9 +2,9 @@
 
 The complement of a finite-dimensional model space inside ``L^2`` splits as
 ``B H^2`` plus the anti-analytic half; it is infinite dimensional, so no
-matrix represents an operator on it faithfully.  Everything here therefore
-works with explicit rational representatives carrying a verified split, and
-identities are checked pointwise on documented probe families.
+matrix represents an operator on it faithfully.  Elements are explicit
+rational representatives carrying a split, compressed exactly; the transport
+identity is checked on a documented probe family wholly on circle samples.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .blaschke import (
     BlaschkeProduct,
@@ -20,7 +21,7 @@ from .blaschke import (
     monomial_factorization,
     to_rational,
 )
-from .modelspace import ModelSpace, multiplier_between
+from .modelspace import ModelSpace, basis_samples, check_multiplier_degrees
 from .operators import _numeric_rank
 from .rational import (
     ComplexPoly,
@@ -37,7 +38,6 @@ from .rational import (
 __all__ = [
     "ComplementElement",
     "DualKernel",
-    "FormulaMismatch",
     "dual_apply",
     "dual_kernel",
     "dual_equivalence",
@@ -46,14 +46,6 @@ __all__ = [
 
 SPLIT_TOL = 1e-10
 MEMBER_TOL = 1e-9
-
-
-class FormulaMismatch(ArithmeticError):
-    """A constructed kernel element failed its membership verification."""
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
 
 
 @dataclass(frozen=True)
@@ -113,13 +105,27 @@ def dual_apply(
 
 @dataclass(frozen=True)
 class DualKernel:
-    """Verified kernel data for the complement compression of
-    ``alpha * (z - 1)`` on the complement of the theta-space."""
+    """Kernel data for the complement compression of ``alpha * (z - 1)`` on
+    the complement of the theta-space."""
 
     basis: tuple
     dim: int
     k: int
     gamma: BlaschkeProduct
+    theta: BlaschkeProduct
+    alpha: BlaschkeProduct
+
+    def membership_defect(self) -> float:
+        """Largest ``membership_residual(alpha (z - 1) e)`` in the theta-space
+        and ``antianalytic_residual(e)`` over the basis elements ``e``."""
+        if not self.basis:
+            return 0.0
+        space = ModelSpace(self.theta)
+        symbol = to_rational(self.alpha) * RationalFn(ComplexPoly([-1.0, 1.0]))
+        return max(
+            max(space.membership_residual(symbol * e.total()), antianalytic_residual(e.total()))
+            for e in self.basis
+        )
 
 
 def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
@@ -128,10 +134,8 @@ def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
     With ``gamma`` the common inner factor of ``theta`` and ``z * alpha``
     and ``k`` the leftover degree, the kernel has dimension
     ``max(0, n - 1 - k)`` and is spanned by explicit anti-analytic
-    functions.  Each candidate is verified (it must lie in the complement
-    and be mapped into the model space); verification is authoritative, so
-    a failing candidate raises :class:`FormulaMismatch` instead of being
-    returned.
+    functions, built in closed form and not re-verified here
+    (:meth:`DualKernel.membership_defect` checks them).
     """
     n = theta.degree
     if n < 1:
@@ -140,7 +144,7 @@ def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
     gamma = blaschke_gcd(theta, z_alpha)
     k = theta.degree - gamma.degree
     if n <= k + 1:
-        return DualKernel((), 0, k, gamma)
+        return DualKernel((), 0, k, gamma, theta, alpha)
     theta_over_gamma = blaschke_quotient(theta, gamma)
     plus = monomial_factorization(theta).plus
     conj_plus = circle_conjugate(plus)
@@ -150,38 +154,16 @@ def dual_kernel(theta: BlaschkeProduct, alpha: BlaschkeProduct) -> DualKernel:
     conj_p = circle_conjugate(p_leftover)
     alpha_bar = circle_conjugate(to_rational(alpha))
     seed = conj_plus * theta_rat * conj_p * alpha_bar * RationalFn.monomial(-2)
-    space = ModelSpace(theta)
-    symbol = to_rational(alpha) * RationalFn(ComplexPoly([-1.0, 1.0]))
-    basis = []
-    for j in range(n - 1 - k):
-        candidate = seed * RationalFn.monomial(-j)
-        try:
-            element = ComplementElement(theta, RationalFn.zero(), candidate)
-        except ValueError as exc:
-            raise FormulaMismatch(
-                f"kernel candidate {j} is not a valid complement element: {exc}",
-                candidate,
-            ) from exc
-        if space.membership_residual(symbol * candidate) > MEMBER_TOL:
-            raise FormulaMismatch(
-                f"kernel candidate {j} is not annihilated by the compression",
-                element,
-            )
-        basis.append(element)
-    return DualKernel(tuple(basis), len(basis), k, gamma)
+    basis = tuple(
+        ComplementElement._trusted(theta, RationalFn.zero(), seed * RationalFn.monomial(-j))
+        for j in range(n - 1 - k)
+    )
+    return DualKernel(basis, len(basis), k, gamma, theta, alpha)
 
 
-def _random_probe(theta: BlaschkeProduct, rng) -> ComplementElement:
-    """Random normalized element of the complement: an analytic multiple of
-    the inner function plus a short anti-analytic tail, a complement member
-    by construction."""
-    theta_rat = to_rational(theta)
-    ana_coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    analytic = theta_rat * RationalFn(ComplexPoly(ana_coeffs))
-    anti_coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    antianalytic = RationalFn(ComplexPoly(anti_coeffs), ComplexPoly.monomial(3))
-    scale = 1.0 / max(norm2(analytic) + norm2(antianalytic), 1e-12)
-    return ComplementElement._trusted(theta, scale * analytic, scale * antianalytic)
+def _outer_samples(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """``prod (1 - conj(a_j) z)`` over the zeros of ``b`` at the points ``z``."""
+    return np.prod(1.0 - np.conj(np.array(b.zeros))[:, None] * z, axis=0)
 
 
 def dual_equivalence(
@@ -196,9 +178,9 @@ def dual_equivalence(
 ) -> float:
     """Residual of the three-factor transport identity on the complements.
 
-    The conjugate-analytic multipliers are built by conjugating the
-    analytic ones: with ``a1`` carrying the eta-space onto the theta-space
-    and ``a2`` the gamma-space onto the alpha-space, the chain
+    With ``a1 = prod(1 - conj(eta_j) z) / prod(1 - conj(theta_j) z)`` the
+    multiplier carrying the eta-space onto the theta-space and ``a2`` the
+    one carrying the gamma-space onto the alpha-space, the chain
 
     ``compression(symbol) = compression(conj(a2)^-1) o
     compression(tilde) o compression(conj(a1))``
@@ -207,35 +189,40 @@ def dual_equivalence(
     through the eta- and gamma-complements to the alpha-complement.  The
     returned value is the worst pointwise residual at the 32 circle points
     of ``unit_circle_samples(32)`` over the probe family.
-    ``_tilde_override`` exists for negative controls.  The chain runs on
-    circle samples (``circle_node_count`` nodes), projecting with the sampled
-    basis: exact steps grow their denominators and must rediscover the
-    cancellations at the inner zeros, losing digits at each step.
+    ``_tilde_override`` exists for negative controls.  Everything is
+    sampled on ``circle_node_count`` nodes, each compression projecting with
+    :func:`basis_samples`; a probe ``theta p + q / z^3`` (random ``p`` of
+    degree 1, ``q`` of degree 2) is normalized by ``||p|| + ||q||``, the
+    norms of its halves by Parseval.  Mismatched or zero degrees of the
+    pairs (eta, theta) and (gamma, alpha) raise :class:`NoMultiplierError`.
     """
-    k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
-    k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
-    a1 = multiplier_between(k_eta, k_theta)
-    a2 = multiplier_between(k_gamma, k_alpha)
-    a1_bar = circle_conjugate(a1)
-    tilde = a2.inverse() * symbol * a1_bar.inverse()
+    check_multiplier_degrees(eta.degree, theta.degree)
+    check_multiplier_degrees(gamma.degree, alpha.degree)
+    singular = [theta.zeros, alpha.zeros, eta.zeros, gamma.zeros, symbol.poles()]
     if _tilde_override is not None:
-        tilde = _tilde_override
-    singular = [theta.zeros, alpha.zeros, eta.zeros, gamma.zeros, symbol.poles(), tilde.poles()]
+        singular.append(_tilde_override.poles())
     m = circle_node_count(np.concatenate(singular))
     z = unit_circle_samples(m)
-    e_alpha, e_eta, e_gamma = (k.basis_samples(z) for k in (k_alpha, k_eta, k_gamma))
+    e_alpha, e_eta, e_gamma = (basis_samples(b, z) for b in (alpha, eta, gamma))
 
     def compress(e, symbol_at, f_at):
         g = symbol_at * f_at
         return g - ((e.conj() @ g) / m) @ e
 
-    symbol_at, a1_bar_at, tilde_at, a2_at = symbol(z), a1_bar(z), tilde(z), a2(z)
+    symbol_at, theta_at = symbol(z), theta(z)
+    a1_bar_at = np.conj(_outer_samples(eta, z) / _outer_samples(theta, z))
+    a2_at = _outer_samples(gamma, z) / _outer_samples(alpha, z)
+    tilde_at = symbol_at / (a2_at * a1_bar_at)
+    if _tilde_override is not None:
+        tilde_at = _tilde_override(z)
     rng = np.random.default_rng(seed)
     points = slice(None, None, m // 32)  # the nodes of unit_circle_samples(32)
     worst = 0.0
     for _ in range(probes):
-        probe = _random_probe(theta, rng)
-        f = probe.analytic(z) + probe.antianalytic(z)
+        p = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        scale = 1.0 / max(np.linalg.norm(p) + np.linalg.norm(q), 1e-12)
+        f = scale * (theta_at * npp.polyval(z, p) + npp.polyval(z, q) / z**3)
         lhs = compress(e_alpha, symbol_at, f)
         step1 = compress(e_eta, a1_bar_at, f)
         step2 = compress(e_gamma, tilde_at, step1)

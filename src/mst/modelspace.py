@@ -35,6 +35,7 @@ __all__ = [
     "ModelSpace",
     "KernelPair",
     "NoMultiplierError",
+    "basis_samples",
     "build_space",
     "reproducing_kernels",
     "multiplier_between",
@@ -100,19 +101,6 @@ class ModelSpace:
             lifted = (tm_nums[k] * cofactor).coeffs
             self.L[: lifted.size, k] = lifted
             cofactor = cofactor * factors[k]
-
-    def basis_samples(self, z) -> np.ndarray:
-        """Basis values at the points ``z``, one row per element, by the
-        product recurrence ``e_k = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) *
-        prod_{j<k} b_{a_j}(z)`` rather than the coefficient polynomials."""
-        z = np.asarray(z, dtype=complex)
-        out = np.empty((self.dim, z.size), dtype=complex)
-        tail = np.ones(z.size, dtype=complex)
-        for k, a in enumerate(self.inner.zeros):
-            outer = 1.0 - np.conj(a) * z
-            out[k] = np.sqrt(1.0 - abs(a) ** 2) / outer * tail
-            tail = tail * (z - a) / outer
-        return out
 
     def coordinates(self, f: RationalFn) -> np.ndarray:
         """Coordinates ``<f, e_k>`` of ``P f``, by the generalized backward
@@ -183,6 +171,21 @@ class ModelSpace:
         return f"ModelSpace(degree={self.dim}, zeros={self.inner.zeros!r})"
 
 
+def basis_samples(inner: BlaschkeProduct, z) -> np.ndarray:
+    """Values at the points ``z`` of the basis of the model space of
+    ``inner``, one row per element, by the product recurrence ``e_k =
+    sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) * prod_{j<k} b_{a_j}(z)`` over the
+    zeros; no :class:`ModelSpace` is built."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((inner.degree, z.size), dtype=complex)
+    tail = np.ones(z.size, dtype=complex)
+    for k, a in enumerate(inner.zeros):
+        outer = 1.0 - np.conj(a) * z
+        out[k] = np.sqrt(1.0 - abs(a) ** 2) / outer * tail
+        tail = tail * (z - a) / outer
+    return out
+
+
 def build_space(b: BlaschkeProduct) -> ModelSpace:
     return ModelSpace(b)
 
@@ -221,6 +224,14 @@ def reproducing_kernels(space: ModelSpace, point: complex) -> KernelPair:
     return KernelPair(k, k_tilde, point)
 
 
+def check_multiplier_degrees(source: int, target: int):
+    """Multipliers exist only between spaces of equal nonzero dimension."""
+    if source != target or source == 0:
+        raise NoMultiplierError(
+            f"no multiplier between spaces of dimensions {source} and {target}"
+        )
+
+
 def multiplier_between(source: ModelSpace, target: ModelSpace) -> RationalFn:
     """Canonical invertible multiplier carrying ``source`` onto ``target``.
 
@@ -231,10 +242,7 @@ def multiplier_between(source: ModelSpace, target: ModelSpace) -> RationalFn:
     dimensions admit no multiplier at all.  The range property holds by
     construction, so it is not re-checked here.
     """
-    if source.dim != target.dim or source.dim == 0:
-        raise NoMultiplierError(
-            f"no multiplier between spaces of dimensions {source.dim} and {target.dim}"
-        )
+    check_multiplier_degrees(source.dim, target.dim)
     return RationalFn(
         _denominator_poly(source.inner.zeros), _denominator_poly(target.inner.zeros)
     )

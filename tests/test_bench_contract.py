@@ -58,3 +58,17 @@ def test_tracer_installs_and_removes():
                  "operators.tto_matrix", "modelspace.ModelSpace", "modelspace.coordinates",
                  "rational.pair", "cli.run_command", "verify.run_suite"):
         assert recorder.calls.get(name, 0) > 0, name
+
+
+def test_dual_equivalence_builds_nothing_exact():
+    # the transport residual is computed on circle samples alone: no model
+    # space is built and no Riesz split or exact pairing runs
+    spans = load_spans()
+    recorder = spans.Recorder()
+    alpha = mst.BlaschkeProduct((0.5, 1.0 / 3.0))
+    z2 = mst.BlaschkeProduct((0.0, 0.0))
+    with spans.Tracer(mst, recorder):
+        residual = mst.dual_equivalence(alpha, z2, z2, z2, mst.RationalFn.monomial(1))
+    assert residual < 1e-12
+    for name in ("modelspace.ModelSpace", "rational.pair", "rational.riesz_project"):
+        assert recorder.calls.get(name, 0) == 0, name

@@ -1,18 +1,19 @@
 """Dual compressions: complement elements, kernels, transport, Hankel rank."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mst.blaschke import BlaschkeProduct, to_rational
 from mst.dual import (
     ComplementElement,
-    _random_probe,
     dual_apply,
     dual_equivalence,
     dual_kernel,
     hankel_rank,
 )
-from mst.modelspace import ModelSpace, multiplier_between
+from mst.modelspace import ModelSpace, NoMultiplierError, multiplier_between
 from mst.rational import (
     ComplexPoly,
     RationalFn,
@@ -38,6 +39,19 @@ def element(theta, analytic=None, antianalytic=None):
         analytic if analytic is not None else RationalFn.zero(),
         antianalytic if antianalytic is not None else RationalFn.zero(),
     )
+
+
+def exact_probe(theta, rng):
+    """The probe ``dual_equivalence`` samples, from the same draws, as an
+    exact complement element: ``theta p + q / z^3`` normalized by
+    ``||theta p|| + ||q / z^3||``."""
+    theta_rat = to_rational(theta)
+    ana_coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    analytic = theta_rat * RationalFn(ComplexPoly(ana_coeffs))
+    anti_coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    antianalytic = RationalFn(ComplexPoly(anti_coeffs), ComplexPoly.monomial(3))
+    scale = 1.0 / max(norm2(analytic) + norm2(antianalytic), 1e-12)
+    return ComplementElement._trusted(theta, scale * analytic, scale * antianalytic)
 
 
 class TestComplementElement:
@@ -155,7 +169,8 @@ class TestDualKernel:
     def test_blaschke_theta_kernel(self):
         res = dual_kernel(ALPHA, ALPHA)
         assert res.k == 0 and res.dim == 1
-        # verification is builtin; double-check the membership by hand
+        assert res.membership_defect() < 1e-9
+        # double-check the membership by hand
         space = ModelSpace(ALPHA)
         phi = to_rational(ALPHA) * RationalFn(ComplexPoly([-1.0, 1.0]))
         for elem in res.basis:
@@ -169,6 +184,15 @@ class TestDualKernel:
             alpha = rng.choice([BlaschkeProduct(()), theta, BlaschkeProduct((0.0,))])
             res = dual_kernel(theta, alpha)
             assert res.dim == max(0, theta.degree - 1 - res.k)
+            assert res.membership_defect() < 1e-9
+
+    def test_membership_defect_flags_a_non_member(self):
+        res = dual_kernel(Z2, Z2)
+        assert res.membership_defect() < 1e-12
+        assert dual_kernel(BlaschkeProduct((0.0,)), Z2).membership_defect() == 0.0
+        # z^-1 lies in the complement but is not annihilated
+        bad = ComplementElement._trusted(Z2, RationalFn.zero(), ZBAR)
+        assert replace(res, basis=(bad,)).membership_defect() > 1e-3
 
 
 class TestDualEquivalence:
@@ -214,7 +238,7 @@ class TestDualEquivalence:
             draws = np.random.default_rng(seed)
             worst = 0.0
             for _ in range(probes):
-                probe = _random_probe(theta, draws)
+                probe = exact_probe(theta, draws)
                 lhs = dual_apply(k_alpha, symbol, probe)
                 step1 = dual_apply(k_eta, a1_bar, probe)
                 step2 = dual_apply(k_gamma, tilde, step1)
@@ -252,6 +276,18 @@ class TestDualEquivalence:
         check = {c.name: c for c in run_suite("dual", 3027).checks}
         assert check["dual transport residual"].residual < 1e-12
         assert check["dual transport negative control"].passed
+
+    def test_no_multiplier_between_degrees(self):
+        deg1 = BlaschkeProduct((0.3,))
+        with pytest.raises(NoMultiplierError, match="dimensions 1 and 2"):
+            dual_equivalence(ALPHA, Z2, deg1, Z2, RationalFn.monomial(1))
+        with pytest.raises(NoMultiplierError, match="dimensions 1 and 2"):
+            dual_equivalence(ALPHA, Z2, ALPHA, deg1, RationalFn.monomial(1))
+        empty = BlaschkeProduct(())
+        with pytest.raises(NoMultiplierError, match="dimensions 0 and 0"):
+            dual_equivalence(empty, Z2, empty, Z2, RationalFn.monomial(1))
+        with pytest.raises(NoMultiplierError, match="dimensions 0 and 0"):
+            dual_equivalence(ALPHA, empty, ALPHA, empty, RationalFn.monomial(1))
 
     def test_negative_control(self):
         bad = RationalFn.monomial(1) + RationalFn(ComplexPoly([0.1]))

@@ -23,6 +23,9 @@ are imported) shows every output that is not bit-identical.  Items:
 * ``cli_readme`` ops 0-83, seeds 1-3: exit code and standard output;
 * ``mst verify --suite all`` at suite seeds 2024, 0, 3027 and 4036: every
   check residual;
+* ``run_all()`` at its default seed: the number of ``ModelSpace`` builds,
+  counted by the benchmark's span recorder (``perfbench/spans.py``,
+  imported read-only);
 * ``tto_large`` ops 0-3, seed 1: the matrix;
 * ``demos/*.py``: standard output of each demo script, run in process.
 """
@@ -125,6 +128,12 @@ def digest(mst, workloads, root):
         for report in mst.run_all(seed):
             for check in report.checks:
                 print(f"verify/{seed}/{report.suite}/{check.name} {check.residual!r}")
+    import spans
+
+    recorder = spans.Recorder()
+    with spans.Tracer(mst, recorder):
+        mst.run_all()
+    print(f"run_all/model_space_builds {recorder.calls.get('modelspace.ModelSpace', 0)}")
     workload = workloads.WORKLOADS["tto_large"](mst, 1)
     for k in range(4):
         print(f"tto_large/1/{k} {sha(workload.request(k).call().entries)}")
