@@ -5,10 +5,13 @@ orthogonal complement of ``B * H^2`` inside the Hardy space; its dimension
 equals the degree of ``B``.  The cached orthonormal basis is the
 Takenaka-Malmquist family built from partial products over the zeros in
 constructor order, so every basis element is an explicit rational function.
-Coordinates come from the generalized backward shift: one Riesz split gives
+Coordinates come from the generalized backward shift: a Riesz split gives
 ``g_0 = P_+ f``, then ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and ``g_{k+1} =
-P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator, so a
-projection costs one split instead of one exact pairing per basis element.
+P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator.  A
+whole compression is one pass of the same engine (``coordinates(symbol,
+over=domain)``): one root solve of the symbol's denominator, the splits of
+every ``symbol * e_j`` stacked into one linear solve, and the shift run on
+all columns at once, with no ``RationalFn`` built per column.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from .blaschke import BlaschkeProduct, _denominator_poly, frostman_shift, to_rat
 from .rational import (
     ComplexPoly,
     RationalFn,
-    _deflate,
     _pair_with_conjugate,
+    _pole_factors,
+    _split_solve,
     circle_conjugate,
     inner_product,
     norm2,
-    riesz_project,
     sup_on_circle,
 )
 
@@ -80,6 +83,7 @@ class ModelSpace:
         factors = [ComplexPoly([1.0, -np.conj(a)]) for a in inner.zeros]
         basis = []
         tm_nums = []
+        parts = []
         tail_num = ComplexPoly([1.0])  # prod_{j<k} (z - a_j)
         tail_den = ComplexPoly([1.0])  # prod_{j<=k} (1 - conj(a_j) z)
         for k, a in enumerate(inner.zeros):
@@ -87,8 +91,12 @@ class ModelSpace:
             tail_den = tail_den * factors[k]
             tm_nums.append(tail_num.scaled(weight))
             basis.append(RationalFn(tm_nums[-1], tail_den))
+            parts.append((tm_nums[-1].coeffs, tail_den.coeffs))
             tail_num = tail_num * ComplexPoly([-a, 1.0])
         self.basis = tuple(basis)
+        # the unreduced numerator and denominator coefficients of each e_k,
+        # which the compression engine multiplies into a symbol's
+        self._parts = tuple(parts)
         self.dim = n
         # Every element of the space is a polynomial of degree < n over the
         # full denominator; cofactors lift each basis numerator to it.  This
@@ -102,32 +110,22 @@ class ModelSpace:
             self.L[: lifted.size, k] = lifted
             cofactor = cofactor * factors[k]
 
-    def coordinates(self, f: RationalFn) -> np.ndarray:
-        """Coordinates ``<f, e_k>`` of ``P f``, by the generalized backward
-        shift: one Riesz split of ``f``, then one deflation per zero.
+    def coordinates(self, f: RationalFn, over: "ModelSpace" = None, residuals: bool = False):
+        """Coordinates ``<f, e_k>`` of ``P f``.  With ``over`` a domain
+        space, the matrix of the compression of multiplication by ``f`` from
+        ``over`` to this space instead: column ``j`` holds the coordinates of
+        ``f * e_j``.  With ``residuals``, also the membership residual of
+        ``f`` (of each ``f * e_j``) as a second return value.
 
-        With ``g_0 = P_+ f``, ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and
-        ``g_{k+1} = P_+(conj(b_{a_k}) g_k) = (g_k(z) (1 - conj(a_k) z) -
-        (1 - |a_k|^2) g_k(a_k)) / (z - a_k)``.  Every ``g_k`` keeps the
-        outside-pole denominator of ``g_0``, so a step only updates the
-        numerator and divides it by ``z - a_k`` (``rational._deflate``).
+        One engine serves both (:func:`_compress`): one root solve of ``f``'s
+        denominator, one stacked Riesz split of every ``f * e_j`` and the
+        generalized backward shift run on all columns at once.
         """
-        coords = np.zeros(self.dim, dtype=complex)
-        g = riesz_project(f).analytic if self.dim else RationalFn.zero()
-        if g.is_zero:
-            return coords
-        num, den = g.num.coeffs, g.den.coeffs
-        den_at_zeros = npp.polyval(np.array(self.inner.zeros, dtype=complex), den)
-        for k, a in enumerate(self.inner.zeros):
-            weight2 = 1.0 - abs(a) ** 2
-            value = npp.polyval(a, num) / den_at_zeros[k]
-            coords[k] = np.sqrt(weight2) * value
-            step = np.zeros(max(len(num) + 1, len(den)), dtype=complex)
-            step[: len(num)] += num
-            step[1 : len(num) + 1] -= np.conj(a) * num
-            step[: len(den)] -= (weight2 * value) * den
-            num = _deflate(step, a)
-        return coords
+        parts = over._parts if over is not None else ((_ONE, _ONE),)
+        coords, res = _compress(self, f, parts, residuals)
+        if over is None:
+            coords, res = coords[:, 0], res[0]
+        return (coords, res) if residuals else coords
 
     def from_coordinates(self, coords) -> RationalFn:
         num = ComplexPoly()
@@ -144,31 +142,104 @@ class ModelSpace:
     def complement_project(self, f: RationalFn) -> RationalFn:
         return f - self.project(f)
 
-    def _coordinates_and_residual(self, f: RationalFn):
-        """``coordinates(f)`` and ``membership_residual(f)`` from one
-        coordinate pass."""
-        coords = self.coordinates(f)
-        return coords, norm2(f - self.from_coordinates(coords)) / (1.0 + norm2(f))
-
     def membership_residual(self, f: RationalFn) -> float:
         """Relative distance from ``f`` to the space."""
-        return self._coordinates_and_residual(f)[1]
+        return self.coordinates(f, residuals=True)[1]
 
     def contains(self, f: RationalFn, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.membership_residual(f) < tol
 
     def gram(self) -> np.ndarray:
-        n = self.dim
-        g = np.zeros((n, n), dtype=complex)
-        for j, e in enumerate(self.basis):
-            g[:, j] = self.coordinates(e)
-        return g
+        """The compression of the symbol ``1``: the basis is analytic, so
+        the backward shift runs on it without a split."""
+        return self.coordinates(RationalFn.one(), over=self)
 
     def same_space(self, other: "ModelSpace") -> bool:
         return self.inner.same_space(other.inner)
 
     def __repr__(self):
         return f"ModelSpace(degree={self.dim}, zeros={self.inner.zeros!r})"
+
+
+_ONE = np.ones(1, dtype=complex)
+
+
+def _columns(arrays) -> np.ndarray:
+    """Coefficient arrays as the zero-padded columns of one matrix."""
+    out = np.zeros((max(len(c) for c in arrays), len(arrays)), dtype=complex)
+    for j, c in enumerate(arrays):
+        out[: len(c), j] = c
+    return out
+
+
+def _backward_shift(zeros, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Coordinates of every column ``g_j = num[:, j] / den[:, j]``, analytic
+    with its poles outside the closed disk, in the basis of the zeros: with
+    ``c_k = sqrt(1 - |a_k|^2) g(a_k)``, the step ``g <- (g(z) (1 - conj(a_k)
+    z) - (1 - |a_k|^2) g(a_k)) / (z - a_k)`` keeps each denominator and is one
+    Horner pass and one top-down deflation over all columns."""
+    rows = max(num.shape[0], den.shape[0] - 1, 1)
+    acc = np.zeros((rows, num.shape[1]), dtype=complex)
+    acc[: num.shape[0]] = num
+    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
+    den_at_zeros = npp.polyval(np.array(zeros, dtype=complex), den)
+    for k, a in enumerate(zeros):
+        weight2 = 1.0 - abs(a) ** 2
+        value = npp.polyval(a, acc) / den_at_zeros[:, k]
+        coords[k] = np.sqrt(weight2) * value
+        step = np.zeros((rows + 1, num.shape[1]), dtype=complex)
+        step[:rows] = acc
+        step[1:] -= np.conj(a) * acc
+        step[: den.shape[0]] -= (weight2 * value) * den
+        acc[rows - 1] = step[rows]
+        for i in range(rows - 1, 0, -1):
+            acc[i - 1] = step[i] + a * acc[i]
+    return coords
+
+
+def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
+    """Coordinates in ``space`` of every ``f * p_j / T_j`` (``parts`` holds
+    the pairs ``(p_j, T_j)`` of coefficients), one column each, and with
+    ``residuals`` their membership residuals.
+
+    One root solve splits ``f = N / (D_in D_out)``.  The poles of ``1 / T_j``
+    lie outside the disk, so ``P_+ (f p_j / T_j) = W_j / (D_out T_j)`` with
+    ``W_j D_in + A_j (D_out T_j) = N p_j``, solved for all ``j`` in one stack
+    (:func:`rational._split_solve`) with nothing reduced; the backward shift
+    then reads the coordinates off every ``W_j / (D_out T_j)`` together.  The
+    residual of a column is ``sqrt(||A_j / D_in||^2 + ||W_j / (D_out T_j) - P
+    f_j||^2) / (1 + ||f_j||)``, the distance measured with exact ``norm2``
+    pairings against the coordinates found, so it stays independent of the
+    recursion.
+    """
+    count = len(parts)
+    coords = np.zeros((space.dim, count), dtype=complex)
+    res = np.zeros(count)
+    if f.is_zero or count == 0 or not (space.dim or residuals):
+        return coords, res
+    d_in, d_out = _pole_factors(f.den)
+    rhs = [np.convolve(f.num.coeffs, p) for p, _ in parts]
+    if d_in.degree == 0:
+        dens = [np.convolve(f.den.coeffs, t) for _, t in parts]
+        nums, antis = _columns(rhs), None
+    else:
+        dens = [np.convolve(d_out.coeffs, t) for _, t in parts]
+        nums, antis = _split_solve(d_in.coeffs, rhs, dens)
+    if space.dim:
+        coords = _backward_shift(space.inner.zeros, nums, _columns(dens))
+    if residuals:
+        full = space._den_full.coeffs
+        for j, q in enumerate(dens):
+            # P f_j = (L c_j) / D_full, so f_j's analytic part minus it is
+            # (W_j D_full - Q_j L c_j) / (Q_j D_full)
+            gap = np.convolve(nums[:, j], full)
+            if space.dim:
+                gap = npp.polysub(gap, np.convolve(q, space.L @ coords[:, j]))
+            gap = RationalFn(gap, np.convolve(q, full))
+            anti = 0.0 if antis is None else norm2(RationalFn(antis[:, j], d_in))
+            r2 = anti**2 + norm2(gap) ** 2
+            res[j] = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords[:, j]) ** 2)))
+    return coords, res
 
 
 def basis_samples(inner: BlaschkeProduct, z) -> np.ndarray:

@@ -36,6 +36,7 @@ __all__ = [
     "multiplier_inverse_defect",
     "is_zero_symbol",
     "equivalence_transform",
+    "transport_spaces",
     "brown_halmos_product",
     "conjugation_matrix",
     "selfadjoint_residual",
@@ -87,21 +88,11 @@ class OperatorMatrix:
 
 def tto_matrix(domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn) -> OperatorMatrix:
     """Compression of multiplication by ``symbol`` between the two spaces:
-    column ``j`` holds the codomain coordinates of ``symbol * e_j``."""
-    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
-    for j, e in enumerate(domain.basis):
-        entries[:, j] = codomain.coordinates(symbol * e)
-    return OperatorMatrix(entries, domain, codomain)
-
-
-def _image_columns(domain: ModelSpace, codomain: ModelSpace, a: RationalFn):
-    """The compression of ``a`` and, per column, the membership residual of
-    ``a * e_j`` in the codomain, both from one coordinate pass."""
-    entries = np.zeros((codomain.dim, domain.dim), dtype=complex)
-    residuals = np.zeros(domain.dim)
-    for j, e in enumerate(domain.basis):
-        entries[:, j], residuals[j] = codomain._coordinates_and_residual(a * e)
-    return entries, residuals
+    column ``j`` holds the codomain coordinates of ``symbol * e_j``, all
+    columns from one root solve of the symbol's denominator, one stacked
+    Riesz split and one vectorized backward shift
+    (:meth:`ModelSpace.coordinates` with ``over``)."""
+    return OperatorMatrix(codomain.coordinates(symbol, over=domain), domain, codomain)
 
 
 def multiplication_matrix(
@@ -109,8 +100,9 @@ def multiplication_matrix(
 ) -> OperatorMatrix:
     """Exact matrix of ``f -> a f`` when ``a`` maps the domain into the
     codomain; rejects symbols whose image of some basis element has a
-    membership residual of at least ``MEMBERSHIP_TOL``."""
-    entries, residuals = _image_columns(domain, codomain, a)
+    membership residual of at least ``MEMBERSHIP_TOL``; the matrix and the
+    residuals come from one pass (:meth:`ModelSpace.coordinates`)."""
+    entries, residuals = codomain.coordinates(a, over=domain, residuals=True)
     for j, residual in enumerate(residuals):
         if residual >= MEMBERSHIP_TOL:
             raise MultiplierRangeViolation(
@@ -186,7 +178,21 @@ def equivalence_transform(
     where ``F`` is multiplication by ``1/a1`` from the theta-space to the
     eta-space and ``E`` is the compression of ``1/conj(a2)`` from the
     gamma-space to the alpha-space.  Both factors are invertible; their
-    condition numbers are reported.
+    condition numbers are reported.  Each distinct inner function gets one
+    :class:`ModelSpace`; :func:`transport_spaces` takes built spaces.
+    """
+    spaces = {}
+    for inner in (theta, alpha, eta, gamma):
+        if inner not in spaces:
+            spaces[inner] = ModelSpace(inner)
+    return transport_spaces(*(spaces[b] for b in (theta, alpha, eta, gamma)), symbol)
+
+
+def transport_spaces(
+    k_theta: ModelSpace, k_alpha: ModelSpace, k_eta: ModelSpace, k_gamma: ModelSpace,
+    symbol: RationalFn,
+) -> EquivalenceTransform:
+    """:func:`equivalence_transform` on built spaces.
 
     Both factors are closed-form changes of basis.  With ``a1 = D_eta /
     D_theta`` (``D`` the full basis denominator of a space), ``e_k / a1`` is
@@ -195,11 +201,10 @@ def equivalence_transform(
     ``e_j / conj(a2)`` against ``e_i``, which is the adjoint of
     multiplication by ``1/a2`` from the alpha-space to the gamma-space:
     ``E = solve(L_gamma, L_alpha)^H``.  Both compressions of the symbols stay
-    exact (:meth:`ModelSpace.coordinates`), so ``residual`` checks the closed
-    form independently; they are returned as ``A`` and ``B``.
+    exact and are taken on the basis ``e_j``, not on ``L``
+    (:func:`tto_matrix`), so ``residual`` checks the closed form
+    independently; they are returned as ``A`` and ``B``.
     """
-    k_theta, k_alpha = ModelSpace(theta), ModelSpace(alpha)
-    k_eta, k_gamma = ModelSpace(eta), ModelSpace(gamma)
     a1 = multiplier_between(k_eta, k_theta)
     a2 = multiplier_between(k_gamma, k_alpha)
     tilde = circle_conjugate(a2) * symbol * a1
@@ -230,16 +235,22 @@ def brown_halmos_product(
 ) -> BrownHalmosCheck:
     """Check that the compression of ``psi * phi`` factors through ``mid``.
 
-    The checkable hypothesis is ``phi * k1 rest mid``: every ``phi * e_j``
-    has a membership residual in ``mid`` below ``MEMBERSHIP_TOL``.  Under it
-    the product of the two compressions reproduces the compression of the
-    product.  One coordinate pass of ``phi * e_j`` in ``mid`` gives both the
-    right factor and those residuals.
+    The defect is ``P_k2 psi (I - P_mid) phi`` on ``k1``.  It vanishes when
+    ``phi * k1 rest mid`` and, since ``<psi (I - P_mid) phi f, g> = <(I -
+    P_mid) phi f, conj(psi) g>``, also when ``conj(psi) * k2 rest mid``.
+    Either inclusion is the checkable hypothesis: every image of a basis
+    element has a membership residual in ``mid`` below ``MEMBERSHIP_TOL``.
+    The pass of ``phi`` over ``k1`` into ``mid`` gives both the right factor
+    and its residuals; the ``conj(psi)`` side runs only when that side
+    fails.
     """
     product = tto_matrix(k1, k2, psi * phi).entries
     left = tto_matrix(mid, k2, psi).entries
-    right, residuals = _image_columns(k1, mid, phi)
+    right, residuals = mid.coordinates(phi, over=k1, residuals=True)
     hypothesis_ok = bool(np.all(residuals < MEMBERSHIP_TOL))
+    if not hypothesis_ok:
+        _, residuals = mid.coordinates(circle_conjugate(psi), over=k2, residuals=True)
+        hypothesis_ok = bool(np.all(residuals < MEMBERSHIP_TOL))
     return BrownHalmosCheck(_relative_defect(product, left @ right), hypothesis_ok)
 
 
@@ -269,17 +280,18 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 def conjugation_matrix(space: ModelSpace) -> ConjugationMatrix:
     """The canonical conjugation of the space: ``f -> B * conj(z f)`` on the
-    circle, expanded exactly in the basis."""
+    circle, in closed form.
+
+    With ``e_k = L_k / D`` (:attr:`ModelSpace.L`, ``D = prod (1 - conj(a_j)
+    z)``) and ``B = c prod (z - a_j) / D``, on the circle ``conj(D) = conj(z)^n
+    prod (z - a_j)`` and ``conj(L_k) = conj(z)^(n-1) L_k^#``, where ``L_k^#``
+    is ``L_k``'s coefficient list reversed and conjugated.  So ``B conj(z)
+    conj(e_k) = c L_k^# / D``, and ``J = c L^-1 L^#``: no split, no
+    pairing."""
     if space.dim < 1:
         raise ValueError("conjugation needs a space of dimension >= 1")
-    theta = space.rational
-    zbar = RationalFn.monomial(-1)
-    n = space.dim
-    j = np.zeros((n, n), dtype=complex)
-    for col, e in enumerate(space.basis):
-        image = theta * zbar * circle_conjugate(e)
-        j[:, col] = space.coordinates(image)
-    return ConjugationMatrix(j, space)
+    flipped = space.inner.constant * np.conj(space.L[::-1])
+    return ConjugationMatrix(np.linalg.solve(space.L, flipped), space)
 
 
 def selfadjoint_residual(a: OperatorMatrix, c: ConjugationMatrix) -> float:

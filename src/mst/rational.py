@@ -543,22 +543,13 @@ class FourierSplit:
         return max(equality_residual(again.analytic, self.analytic), norm2(again.antianalytic))
 
 
-def riesz_project(f: RationalFn) -> FourierSplit:
-    """Split ``f`` into nonnegative and strictly negative Fourier content.
-
-    The denominator factors as ``D_in * D_out`` with ``D_in`` carrying the
-    origin power and the open-disk roots and ``D_out`` the roots outside the
-    closed disk.  The unique representation ``f = W/D_out + A/D_in`` (with
-    ``A`` strictly proper) is recovered from one coupled linear solve over
-    the coefficient identity ``W*D_in + A*D_out = num``; nothing is ever
-    long-divided through an outside-root factor, which keeps the split
-    backward stable even for poles far from the circle.
-    """
-    if f.is_zero:
-        return FourierSplit(RationalFn.zero(), RationalFn.zero())
-    v = _valuation(f.den)
-    den_rest = _shift_down(f.den, v)
-    droots = den_rest.roots()
+def _pole_factors(den: ComplexPoly):
+    """``(D_in, D_out)`` with ``den = D_in * D_out`` up to the lead, from one
+    root solve: ``D_in`` carries the origin power and the open-disk roots,
+    ``D_out`` the roots outside the closed disk; both are monic.  Raises
+    :class:`PoleSplitError` when the two groups meet."""
+    v = _valuation(den)
+    droots = _shift_down(den, v).roots()
     mods = np.abs(droots)
     inside = droots[mods < 1.0]
     outside = droots[mods >= 1.0]
@@ -569,40 +560,67 @@ def riesz_project(f: RationalFn) -> FourierSplit:
                 "inside and outside poles coincide within the clustering tolerance; "
                 "adjust the input so the pole groups are separated"
             )
-    d_in = ComplexPoly.from_roots(inside) * ComplexPoly.monomial(v)
-    d_out = ComplexPoly.from_roots(outside)
-    mi, mo = d_in.degree, d_out.degree
-    num = f.num
-    if mi == 0:
-        return FourierSplit(f, RationalFn.zero())
-    if mo == 0:
-        quo, rem = num.divmod(d_in)  # division by an all-inside monic: stable
-        return FourierSplit(RationalFn(quo), RationalFn(rem, d_in))
-    dw = max(num.degree - mi, mo - 1)
-    rows = max(num.degree + 1, dw + mi + 1)
-    cols = (dw + 1) + mi
-    m = np.zeros((rows, cols), dtype=complex)
-    for k in range(dw + 1):
-        m[k : k + mi + 1, k] = d_in.coeffs
-    for j in range(mi):
-        m[j : j + mo + 1, dw + 1 + j] = d_out.coeffs
-    rhs = np.zeros(rows, dtype=complex)
-    rhs[: len(num.coeffs)] = num.coeffs
-    scale = np.linalg.norm(m, axis=0)
-    ms = m / scale
-    sol, *_ = np.linalg.lstsq(ms, rhs, rcond=None)
-    # mixed-precision iterative refinement: residuals in extended precision
-    # recover the digits that clusters of near-circle poles cost the solve
+    return ComplexPoly.from_roots(inside) * ComplexPoly.monomial(v), ComplexPoly.from_roots(outside)
+
+
+def _split_solve(d_in: np.ndarray, rhs, outs):
+    """Solve ``W_j * D_in + A_j * Q_j = R_j`` with ``deg A_j < deg D_in`` for
+    every ``j`` at once, given the ascending coefficients of ``D_in``, of each
+    ``R_j`` (``rhs``) and of each ``Q_j`` (``outs``), whose roots all lie
+    outside the closed disk.
+
+    Each coefficient system is square, with ``deg W_j = max(deg R_j - deg
+    D_in, deg Q_j - 1, 0)``, and nonsingular because ``D_in`` and ``Q_j`` share
+    no root.  The systems are padded with identity blocks to one size,
+    column-scaled and solved in one stacked call, then refined twice with
+    residuals in extended precision, which recovers the digits clusters of
+    near-circle poles cost the solve.  Returns the zero-padded coefficient
+    columns of every ``W_j`` and ``A_j``.
+    """
+    mi = len(d_in) - 1
+    sizes = [max(len(r), len(q) - 1 + mi, mi + 1) for r, q in zip(rhs, outs)]
+    size, count = max(sizes), len(sizes)
+    m = np.zeros((count, size, size), dtype=complex)
+    b = np.zeros((count, size), dtype=complex)
+    for j, (r, q, s) in enumerate(zip(rhs, outs, sizes)):
+        for i in range(mi):
+            m[j, i : i + len(q), i] = q
+        for k in range(s - mi):
+            m[j, k : k + mi + 1, mi + k] = d_in
+        m[j, range(s, size), range(s, size)] = 1.0
+        b[j, : len(r)] = r
+    scale = np.linalg.norm(m, axis=1)
+    ms = m / scale[:, None, :]
+    sol = np.linalg.solve(ms, b[..., None])
     ms_wide = ms.astype(np.clongdouble)
-    rhs_wide = rhs.astype(np.clongdouble)
+    b_wide = b[..., None].astype(np.clongdouble)
     for _ in range(2):
-        residual = (rhs_wide - ms_wide @ sol.astype(np.clongdouble)).astype(complex)
-        correction, *_ = np.linalg.lstsq(ms, residual, rcond=None)
-        sol = sol + correction
-    sol = sol / scale
-    w_part = ComplexPoly(sol[: dw + 1])
-    a_part = ComplexPoly(sol[dw + 1 :])
-    return FourierSplit(RationalFn(w_part, d_out), RationalFn(a_part, d_in))
+        residual = (b_wide - ms_wide @ sol.astype(np.clongdouble)).astype(complex)
+        sol = sol + np.linalg.solve(ms, residual)
+    sol = (sol[..., 0] / scale).T
+    return sol[mi:], sol[:mi]
+
+
+def riesz_project(f: RationalFn) -> FourierSplit:
+    """Split ``f`` into nonnegative and strictly negative Fourier content.
+
+    The denominator factors as ``D_in * D_out`` (:func:`_pole_factors`).  The
+    unique representation ``f = W/D_out + A/D_in`` (with ``A`` strictly
+    proper) comes from the square coefficient system ``W*D_in + A*D_out =
+    num`` of :func:`_split_solve`, the solver every compression shares;
+    nothing is ever long-divided through an outside-root factor, which keeps
+    the split backward stable even for poles far from the circle.
+    """
+    if f.is_zero:
+        return FourierSplit(RationalFn.zero(), RationalFn.zero())
+    d_in, d_out = _pole_factors(f.den)
+    if d_in.degree == 0:
+        return FourierSplit(f, RationalFn.zero())
+    if d_out.degree == 0:
+        quo, rem = f.num.divmod(d_in)  # division by an all-inside monic: stable
+        return FourierSplit(RationalFn(quo), RationalFn(rem, d_in))
+    w_part, a_part = _split_solve(d_in.coeffs, [f.num.coeffs], [d_out.coeffs])
+    return FourierSplit(RationalFn(w_part[:, 0], d_out), RationalFn(a_part[:, 0], d_in))
 
 
 def antianalytic_residual(f: RationalFn) -> float:

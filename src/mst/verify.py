@@ -46,6 +46,7 @@ from .operators import (
     multiplier_inverse_defect,
     selfadjoint_residual,
     subspace_angle,
+    transport_spaces,
     tto_matrix,
     unitarity_defect,
 )
@@ -217,7 +218,7 @@ def _suite_operators(seed: int) -> SuiteReport:
         k_zn, k_theta = build_space(zn), build_space(theta)
         a = multiplier_between(k_zn, k_theta)
         phi = circle_conjugate(a).inverse() * RationalFn.monomial(k) * a.inverse()
-        res = equivalence_transform(theta, theta, zn, zn, phi)
+        res = transport_spaces(k_theta, k_theta, k_zn, k_zn, phi)
         ker_lhs, _ = kernel_and_range(res.A)
         ker_mid, _ = kernel_and_range(res.B)
         image = [res.F.entries @ v for v in ker_lhs]

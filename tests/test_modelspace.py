@@ -175,18 +175,24 @@ _RADIUS, _TURN = np.random.default_rng(2011).uniform(0.0, 1.0, (2, 32))
 ZEROS_32 = tuple(0.8 * np.sqrt(_RADIUS) * np.exp(2j * np.pi * _TURN))
 
 
-def trapezoid_tto(zeros, symbol, nodes=1024):
-    """``<symbol e_j, e_i>`` by the trapezoidal rule, on basis values from
-    the product formula for ``e_k``."""
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+def trapezoid_basis(zeros, z):
+    """Basis values at ``z`` from the product formula for ``e_k``."""
     values = []
-    tail = np.ones(nodes, dtype=complex)
+    tail = np.ones(z.size, dtype=complex)
     for a in zeros:
         outer = 1.0 - np.conj(a) * z
         values.append(np.sqrt(1.0 - abs(a) ** 2) / outer * tail)
         tail = tail * (z - a) / outer
-    e = np.array(values)
-    return (np.conj(e) * symbol(z)) @ e.T / nodes
+    return np.array(values).reshape(len(zeros), z.size)
+
+
+def trapezoid_tto(zeros, symbol, nodes=1024, codomain=None):
+    """``<symbol e_j, f_i>`` by the trapezoidal rule, for the bases ``e`` of
+    ``zeros`` and ``f`` of ``codomain`` (default: ``zeros`` again)."""
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    e = trapezoid_basis(zeros, z)
+    f = e if codomain is None else trapezoid_basis(codomain, z)
+    return (np.conj(f) * symbol(z)) @ e.T / nodes
 
 
 class TestCoordinates:
@@ -225,6 +231,85 @@ class TestCoordinates:
         entries = tto_matrix(space, space, MIXED).entries
         reference = trapezoid_tto(ZEROS_32, MIXED)
         assert np.max(np.abs(entries - reference)) > 1e-9
+
+
+def engine_zeros(n, kind, seed):
+    """``n`` zeros of modulus at most 0.95; ``repeated`` doubles the first,
+    ``close`` puts the last 1e-6 from it."""
+    radius, turn = np.random.default_rng([n, seed]).uniform(0.0, 1.0, (2, n))
+    zeros = 0.95 * np.sqrt(radius) * np.exp(2j * np.pi * turn)
+    if n > 1 and kind == "repeated":
+        zeros[-1] = zeros[0]
+    if n > 1 and kind == "close":
+        zeros[-1] = zeros[0] + 1e-6
+    return tuple(zeros)
+
+
+ENGINE_SYMBOLS = {
+    "mixed": MIXED,
+    # a double pole at the origin next to an outside pole
+    "origin-pole": RationalFn(
+        ComplexPoly([1.0, 2.0, -1.0j, 0.5]), ComplexPoly.from_roots([0.0, 0.0, 1.5])
+    ),
+    "analytic": RationalFn(ComplexPoly([1.0, 0.3j, 0.5]), ComplexPoly.from_roots([1.5, -2.0j])),
+}
+
+
+class TestCompressionEngine:
+    """``coordinates(symbol, over=domain)`` against the per-column composition
+    ``coordinates(symbol * e_j)`` and against the trapezoidal rule."""
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 8, 16, 32))
+    @pytest.mark.parametrize("kind", ("distinct", "repeated", "close"))
+    @pytest.mark.parametrize("name", sorted(ENGINE_SYMBOLS))
+    def test_matches_per_column_and_trapezoid(self, n, kind, name):
+        symbol = ENGINE_SYMBOLS[name]
+        dom_zeros, cod_zeros = engine_zeros(n, kind, 0), engine_zeros(n, kind, 1)
+        dom, cod = build_space(BlaschkeProduct(dom_zeros)), build_space(BlaschkeProduct(cod_zeros))
+        entries = cod.coordinates(symbol, over=dom)
+        columns = np.column_stack([cod.coordinates(symbol * e) for e in dom.basis])
+        reference = trapezoid_tto(dom_zeros, symbol, codomain=cod_zeros)
+        tol = (1e-12 if n <= 16 else 1e-10) * (1.0 + np.max(np.abs(reference)))
+        assert np.max(np.abs(entries - columns)) < tol
+        assert np.max(np.abs(entries - reference)) < tol
+        assert np.array_equal(tto_matrix(dom, cod, symbol).entries, entries)
+
+    def test_zero_symbol_and_empty_spaces(self):
+        space = build_space(BlaschkeProduct(COORDINATE_SPACES[1]))
+        empty = build_space(BlaschkeProduct(()))
+        zero = space.coordinates(RationalFn.zero(), over=space)
+        assert zero.shape == (3, 3) and not np.any(zero)
+        assert space.coordinates(MIXED, over=empty).shape == (3, 0)
+        assert empty.coordinates(MIXED, over=space).shape == (0, 3)
+        coords, residuals = empty.coordinates(MIXED, over=space, residuals=True)
+        assert coords.shape == (0, 3) and np.all(residuals > 0.1)
+
+    @pytest.mark.parametrize("n", (1, 8, 16, 32))
+    def test_gram_is_identity(self, n):
+        # zeros out to 0.95 cost the recursion digits at n = 32 (1.5e-10 here)
+        space = build_space(BlaschkeProduct(engine_zeros(n, "repeated", 2)))
+        tol = 1e-12 if n <= 16 else 1e-9
+        assert np.max(np.abs(space.gram() - np.eye(n))) < tol
+
+    def test_residuals_match_projection_distance(self):
+        def distance(space, f):
+            return norm2(f - space.project(f)) / (1.0 + norm2(f))
+
+        k_alpha = build_space(ALPHA)
+        k_z2 = build_space(Z2)
+        a = multiplier_between(k_z2, k_alpha)
+        _, residuals = k_alpha.coordinates(a, over=k_z2, residuals=True)
+        assert np.all(residuals < 1e-12)
+        # z * 1 stays in K_{z^2}, z * z = z^2 leaves it
+        _, residuals = k_z2.coordinates(Z, over=k_z2, residuals=True)
+        assert residuals[0] < 1e-12
+        assert abs(residuals[1] - distance(k_z2, Z * Z)) < 1e-12
+        # inside poles reach the anti-analytic half of the residual
+        _, residuals = k_alpha.coordinates(MIXED, over=k_z2, residuals=True)
+        per_column = [distance(k_alpha, MIXED * e) for e in k_z2.basis]
+        assert np.max(np.abs(residuals - per_column)) < 1e-12
+        assert np.all(residuals > 0.1)
+        assert abs(k_alpha.membership_residual(MIXED) - distance(k_alpha, MIXED)) < 1e-12
 
 
 class TestMultiplier:

@@ -5,6 +5,7 @@ import pytest
 
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
+    basis_samples,
     build_space,
     crofoot_multiplier,
     multiplier_between,
@@ -26,11 +27,12 @@ from mst.operators import (
     pullback_compatibility_defect,
     rank_equivalence,
     subspace_angle,
+    transport_spaces,
     tto_matrix,
     unitarity_defect,
 )
-from mst.rational import ComplexPoly, RationalFn, circle_conjugate
-from mst.sampling import random_blaschke, random_rational
+from mst.rational import ComplexPoly, RationalFn, circle_conjugate, unit_circle_samples
+from mst.sampling import random_blaschke, random_disk_points, random_rational
 
 THIRD = 1.0 / 3.0
 Z2 = BlaschkeProduct((0.0, 0.0))
@@ -47,8 +49,11 @@ A_MULT = multiplier_between(K_Z2, K_ALPHA)  # 1/((1 - z/2)(1 - z/3))
 
 def two_pass_brown_halmos(k1, mid, k2, psi, phi):
     """The product-splitting residual and hypothesis by separate passes:
-    per-element membership, then the three compressions."""
-    hypothesis_ok = all(mid.contains(phi * e) for e in k1.basis)
+    per-element membership on either side, then the three compressions."""
+    psi_bar = circle_conjugate(psi)
+    hypothesis_ok = all(mid.contains(phi * e) for e in k1.basis) or all(
+        mid.contains(psi_bar * e) for e in k2.basis
+    )
     product = tto_matrix(k1, k2, psi * phi).entries
     right = tto_matrix(k1, mid, phi).entries
     diff = product - tto_matrix(mid, k2, psi).entries @ right
@@ -141,6 +146,22 @@ class TestZeroSymbol:
 
 
 class TestEquivalenceTransform:
+    def test_each_distinct_space_built_once(self, monkeypatch):
+        built = []
+
+        class Counting(mst.operators.ModelSpace):
+            def __init__(self, inner):
+                built.append(inner)
+                super().__init__(inner)
+
+        monkeypatch.setattr(mst.operators, "ModelSpace", Counting)
+        res = equivalence_transform(ALPHA, ALPHA, Z2, Z2, ONE + 0.5 * Z)
+        assert built == [ALPHA, Z2]
+        core = transport_spaces(K_ALPHA, K_ALPHA, K_Z2, K_Z2, ONE + 0.5 * Z)
+        for name in ("E", "F", "A", "B"):
+            assert np.array_equal(getattr(res, name).entries, getattr(core, name).entries)
+        assert res.residual == core.residual
+
     def test_trivial(self):
         res = equivalence_transform(ALPHA, ALPHA, ALPHA, ALPHA, ONE + Z * 0.5)
         assert res.residual < 1e-12
@@ -328,6 +349,18 @@ class TestBrownHalmos:
             assert check.residual < 1e-9
             assert_matches_two_pass(check, k1, mid, K_Z2, psi, phi)
 
+    def test_left_side_hypothesis(self):
+        # conj(zbar) K_{z^2} = z K_{z^2} lies in K_{z^3} while phi K_{z^2}
+        # does not: the identity holds by the left-hand inclusion
+        rng = np.random.default_rng(0)
+        zbar = RationalFn.monomial(-1)
+        for _ in range(3):
+            phi = random_rational(rng)
+            check = brown_halmos_product(K_Z2, K_Z3, K_Z2, zbar, phi)
+            assert check.hypothesis_ok
+            assert check.residual < 1e-12
+            assert_matches_two_pass(check, K_Z2, K_Z3, K_Z2, zbar, phi)
+
     def test_hypothesis_violation_flagged(self):
         k_z = build_space(BlaschkeProduct((0.0,)))
         # phi = 1 does not map K_z2 into the smaller space K_z, and psi = zbar
@@ -338,7 +371,37 @@ class TestBrownHalmos:
         assert_matches_two_pass(check, K_Z2, k_z, K_Z2, RationalFn.monomial(-1), ONE)
 
 
+def quadrature_conjugation(inner, nodes=1024):
+    """``<B conj(z e_k), e_i>`` by the trapezoidal rule on sampled basis
+    values."""
+    z = unit_circle_samples(nodes)
+    e = basis_samples(inner, z)
+    return np.conj(e) @ (inner(z) * np.conj(z * e)).T / nodes
+
+
 class TestConjugation:
+    @pytest.mark.parametrize("n", (1, 3, 8, 16))
+    def test_closed_form_matches_quadrature(self, n):
+        rng = np.random.default_rng([23, n])
+        zeros = tuple(random_disk_points(rng, n, 0.9))
+        if n > 2:
+            zeros = zeros[:-1] + (zeros[0],)  # a repeated zero
+        inner = BlaschkeProduct(zeros, np.exp(0.7j))
+        c = conjugation_matrix(build_space(inner))
+        assert np.max(np.abs(c.J - quadrature_conjugation(inner))) < 1e-12
+        assert c.unitarity_defect() < 1e-12
+        assert c.involution_defect() < 1e-12
+
+    def test_perturbed_basis_column_is_caught(self, monkeypatch):
+        inner = BlaschkeProduct((0.5, -0.3j, 0.6 + 0.2j), np.exp(0.7j))
+        space = build_space(inner)
+        perturbed = space.L.copy()
+        perturbed[:, 1] *= 1.0 + 1e-3
+        monkeypatch.setattr(space, "L", perturbed)
+        c = conjugation_matrix(space)
+        assert np.max(np.abs(c.J - quadrature_conjugation(inner))) > 1e-4
+        assert c.unitarity_defect() > 1e-4
+
     def test_flip_on_monomials(self):
         c = conjugation_matrix(K_Z2)
         assert np.max(np.abs(c.J - np.array([[0.0, 1.0], [1.0, 0.0]]))) < 1e-12

@@ -4,6 +4,7 @@ Usage, from the root of a checkout::
 
     python3 tools/scan_ops.py scan --workload cli_readme --ops 1680 --seeds 1-10
     python3 tools/scan_ops.py digest [--root DIR] > digest.txt
+    python3 tools/scan_ops.py sweep [--root DIR]
 
 ``scan`` runs ops ``0 <= k < ops`` of one benchmark workload at each seed
 through the workload's own ``request`` and ``check`` (``perfbench/
@@ -28,6 +29,16 @@ are imported) shows every output that is not bit-identical.  Items:
   imported read-only);
 * ``tto_large`` ops 0-3, seed 1: the matrix;
 * ``demos/*.py``: standard output of each demo script, run in process.
+
+``sweep`` measures ``tto_matrix`` and ``conjugation_matrix`` against the
+benchmark's quadrature oracle (``perfbench/oracle.py``, imported
+read-only) over degrees ``n`` in {2, 4, 8, 16, 24, 32}, zero radius 0.8 and
+0.95 and 10 draws per cell; every third draw repeats a zero.  The
+compression runs between two spaces, with a symbol of degree 4 with two
+poles inside and two outside the circle at margin 0.2
+(``workloads.random_symbol``); the conjugation gets a random unimodular
+constant.  Each line is one cell: the median and largest relative
+deviation and the median call time of each function.
 """
 
 from __future__ import annotations
@@ -41,12 +52,14 @@ import math
 import os
 import runpy
 import sys
+import time
 
 # one BLAS thread, as in the benchmark, so every run takes the same path
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 import numpy as np  # noqa: E402
+from numpy.polynomial import polynomial as npp  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -144,9 +157,59 @@ def digest(mst, workloads, root):
         print(f"demos/{os.path.basename(path)} stdout {sha(out.getvalue())}")
 
 
+SWEEP_DEGREES = (2, 4, 8, 16, 24, 32)
+SWEEP_RADII = (0.8, 0.95)
+SWEEP_DRAWS = 10
+
+
+def sweep_draw(workloads, n, radius, draw):
+    rng = np.random.default_rng([n, int(100 * radius), draw])
+    zeros = [workloads.disk_points(rng, n, radius) for _ in range(2)]
+    if draw % 3 == 2 and n > 1:
+        for z in zeros:
+            z[-1] = z[0]
+    num, poles = workloads.random_symbol(rng, 4, 2, 2)
+    constant = np.exp(2j * np.pi * rng.uniform())
+    return zeros, num, poles, constant
+
+
+def timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def sweep(mst, workloads):
+    oracle = workloads.oracle
+    print("n radius | tto_matrix: median max deviation, median s"
+          " | conjugation_matrix: median max deviation, median s")
+    for n in SWEEP_DEGREES:
+        for radius in SWEEP_RADII:
+            rows = []
+            for draw in range(SWEEP_DRAWS):
+                (dom, cod), num, poles, constant = sweep_draw(workloads, n, radius, draw)
+                k_dom = mst.ModelSpace(mst.BlaschkeProduct(tuple(dom), constant))
+                k_cod = mst.ModelSpace(mst.BlaschkeProduct(tuple(cod)))
+                symbol = mst.RationalFn(mst.ComplexPoly(num),
+                                        mst.ComplexPoly(npp.polyfromroots(poles)))
+                tto, tto_s = timed(lambda: mst.tto_matrix(k_dom, k_cod, symbol).entries)
+                z = oracle.nodes(oracle.node_count(np.concatenate([dom, cod, poles])))
+                ref = oracle.compression(dom, cod, workloads.SampledSymbol(num, poles)(z), z)
+                conj, conj_s = timed(lambda: mst.conjugation_matrix(k_dom).J)
+                e = oracle.tm_basis(dom, z)
+                image = oracle.blaschke(dom, z, constant) * np.conj(z * e)
+                conj_ref = np.conj(e) @ image.T / z.size
+                rows.append((oracle.rel_dev(tto, ref), tto_s,
+                             oracle.rel_dev(conj, conj_ref), conj_s))
+            t_dev, t_s, c_dev, c_s = np.array(rows).T
+            print(f"{n:2d} {radius:.2f} | {np.median(t_dev):.2e} {np.max(t_dev):.2e} "
+                  f"{np.median(t_s):.2e} | {np.median(c_dev):.2e} {np.max(c_dev):.2e} "
+                  f"{np.median(c_s):.2e}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("scan", "digest"))
+    parser.add_argument("mode", choices=("scan", "digest", "sweep"))
     parser.add_argument("--root", default=ROOT, help="checkout to import (default: this one)")
     parser.add_argument("--workload", default="cli_readme")
     parser.add_argument("--ops", type=int, default=84)
@@ -156,6 +219,9 @@ def main(argv=None) -> int:
     mst, workloads = load(root)
     if args.mode == "digest":
         digest(mst, workloads, root)
+        return 0
+    if args.mode == "sweep":
+        sweep(mst, workloads)
         return 0
     return 1 if scan(mst, workloads, args.workload, args.ops, seed_list(args.seeds)) else 0
 
