@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .blaschke import BlaschkeProduct, to_rational
-from .dual import MEMBER_TOL, dual_kernel
-from .modelspace import ModelSpace, crofoot_gram_check, crofoot_multiplier
+from .dual import dual_kernel
+from .modelspace import MEMBERSHIP_TOL, ModelSpace, crofoot_gram_check, crofoot_multiplier
 from .operators import (
     NotEquivalentError,
     _relative_defect,
@@ -323,8 +323,8 @@ def _cmd_dual_kernel(args):
     alpha = _as_blaschke(args.alpha)
     result = dual_kernel(theta, alpha)
     defect = result.membership_defect()
-    if not defect < MEMBER_TOL:
-        detail = f"kernel membership defect {defect!r} is not below {MEMBER_TOL!r}"
+    if not defect < MEMBERSHIP_TOL:
+        detail = f"kernel membership defect {defect!r} is not below {MEMBERSHIP_TOL!r}"
         return {"status": "formula-mismatch", "detail": detail}, None, EXIT_VERIFY
     payload = {
         "dim": result.dim,

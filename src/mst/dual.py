@@ -21,7 +21,7 @@ from .blaschke import (
     monomial_factorization,
     to_rational,
 )
-from .modelspace import ModelSpace, basis_samples, check_multiplier_degrees
+from .modelspace import MEMBERSHIP_TOL, ModelSpace, basis_samples, check_multiplier_degrees
 from .operators import _numeric_rank
 from .rational import (
     ComplexPoly,
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 SPLIT_TOL = 1e-10
-MEMBER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class ComplementElement:
         ana_split = riesz_project(self.analytic)
         if norm2(ana_split.antianalytic) > SPLIT_TOL * (1.0 + norm2(self.analytic)):
             raise ValueError("analytic part has negative frequencies")
-        if norm2(space.project(self.analytic)) > MEMBER_TOL * (1.0 + norm2(self.analytic)):
+        if norm2(space.project(self.analytic)) > MEMBERSHIP_TOL * (1.0 + norm2(self.analytic)):
             raise ValueError("analytic part is not orthogonal to the model space")
 
     @classmethod

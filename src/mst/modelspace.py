@@ -2,9 +2,9 @@
 
 The model space attached to a finite Blaschke product ``B`` is the
 orthogonal complement of ``B * H^2`` inside the Hardy space; its dimension
-equals the degree of ``B``.  The cached orthonormal basis is the
-Takenaka-Malmquist family built from partial products over the zeros in
-constructor order, so every basis element is an explicit rational function.
+equals the degree of ``B``.  A space stores its orthonormal basis, the
+Takenaka-Malmquist family of partial products over the zeros in constructor
+order, as coefficient arrays; ``RationalFn`` views are built on first read.
 Coordinates come from the generalized backward shift: a Riesz split gives
 ``g_0 = P_+ f``, then ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and ``g_{k+1} =
 P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator.  A
@@ -17,12 +17,15 @@ all columns at once, with no ``RationalFn`` built per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .blaschke import BlaschkeProduct, _denominator_poly, frostman_shift, to_rational
+from .blaschke import BlaschkeProduct, frostman_shift, to_rational
 from .rational import (
+    POLE_TOL,
+    CirclePoleError,
     ComplexPoly,
     RationalFn,
     _pair_with_conjugate,
@@ -60,44 +63,40 @@ class NoMultiplierError(ValueError):
 
 
 class ModelSpace:
-    """Model space of a finite Blaschke product with its cached basis.
+    """Model space of a finite Blaschke product, stored as basis coefficients.
 
     Attributes
     ----------
     inner : BlaschkeProduct
         The defining inner function.
-    basis : tuple of RationalFn
-        Orthonormal Takenaka-Malmquist functions, one per zero.
     dim : int
         Degree of the inner function (0 gives the zero space).
-    L : ndarray, shape (dim, dim)
+    L : ndarray, shape (dim, dim), read-only
         Column ``k`` holds the ascending coefficients of the numerator of
         ``e_k`` over the full denominator ``prod (1 - conj(a_j) z)``, so
         ``L`` changes from the basis to the monomials ``1, z, ...``.
+    basis, rational : tuple of RationalFn, RationalFn
+        The orthonormal Takenaka-Malmquist functions, one per zero, and the
+        inner function, as reduced quotients built on first read.
     """
 
     def __init__(self, inner: BlaschkeProduct):
         self.inner = inner
-        self.rational = to_rational(inner)
-        n = inner.degree
+        n = self.dim = inner.degree
         factors = [ComplexPoly([1.0, -np.conj(a)]) for a in inner.zeros]
-        basis = []
-        tm_nums = []
         parts = []
         tail_num = ComplexPoly([1.0])  # prod_{j<k} (z - a_j)
         tail_den = ComplexPoly([1.0])  # prod_{j<=k} (1 - conj(a_j) z)
         for k, a in enumerate(inner.zeros):
+            if a and 1.0 / abs(a) - 1.0 < POLE_TOL:  # the pole 1 / conj(a_k) of e_k
+                raise CirclePoleError(f"pole 1/conj({a}) lies within {POLE_TOL} of the unit circle")
             weight = float(np.sqrt(1.0 - abs(a) ** 2))
             tail_den = tail_den * factors[k]
-            tm_nums.append(tail_num.scaled(weight))
-            basis.append(RationalFn(tm_nums[-1], tail_den))
-            parts.append((tm_nums[-1].coeffs, tail_den.coeffs))
+            parts.append((tail_num.scaled(weight).coeffs, tail_den.coeffs))
             tail_num = tail_num * ComplexPoly([-a, 1.0])
-        self.basis = tuple(basis)
         # the unreduced numerator and denominator coefficients of each e_k,
         # which the compression engine multiplies into a symbol's
         self._parts = tuple(parts)
-        self.dim = n
         # Every element of the space is a polynomial of degree < n over the
         # full denominator; cofactors lift each basis numerator to it.  This
         # keeps linear combinations in a single reduced fraction instead of
@@ -106,9 +105,18 @@ class ModelSpace:
         self.L = np.zeros((n, n), dtype=complex)
         cofactor = ComplexPoly([1.0])  # prod_{j>k} (1 - conj(a_j) z)
         for k in range(n - 1, -1, -1):
-            lifted = (tm_nums[k] * cofactor).coeffs
+            lifted = (ComplexPoly(parts[k][0]) * cofactor).coeffs
             self.L[: lifted.size, k] = lifted
             cofactor = cofactor * factors[k]
+        self.L.setflags(write=False)
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(RationalFn(num, den) for num, den in self._parts)
+
+    @cached_property
+    def rational(self) -> RationalFn:
+        return to_rational(self.inner)
 
     def coordinates(self, f: RationalFn, over: "ModelSpace" = None, residuals: bool = False):
         """Coordinates ``<f, e_k>`` of ``P f``.  With ``over`` a domain
@@ -314,9 +322,7 @@ def multiplier_between(source: ModelSpace, target: ModelSpace) -> RationalFn:
     construction, so it is not re-checked here.
     """
     check_multiplier_degrees(source.dim, target.dim)
-    return RationalFn(
-        _denominator_poly(source.inner.zeros), _denominator_poly(target.inner.zeros)
-    )
+    return RationalFn(source._den_full, target._den_full)
 
 
 def projection_transport_defect(

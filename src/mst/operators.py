@@ -314,14 +314,14 @@ def is_complex_selfadjoint(
 def conjugation_pullback(
     c: ConjugationMatrix, f: OperatorMatrix, mode: str = "via_F"
 ) -> ConjugationMatrix:
-    """Transport a conjugation along an invertible intertwiner ``f``.
-
-    ``via_F`` conjugates by the inverse (``J' = F^-1 J conj(F)``);
-    ``via_EF`` uses the adjoint instead (``J' = F^H J conj(F)``).  The
-    result lives on the domain of ``f``.  It is only antilinear-unitary
-    when ``J conj(F F^H) = F F^H J``; the caller is expected to test the
-    returned candidate.
+    """Transport a conjugation along an invertible intertwiner ``f``: ``J' =
+    F^-1 J conj(F)`` on the domain of ``f`` (``via_F``, the only ``mode``).
+    It is antilinear-unitary only when ``J conj(F F^H) = F F^H J``
+    (:func:`pullback_compatibility_defect`); the caller is expected to test
+    the returned candidate.
     """
+    if mode != "via_F":
+        raise ValueError(f"unknown pullback mode {mode!r}")
     if not c.space.same_space(f.codomain):
         raise ValueError("conjugation must live on the codomain of the intertwiner")
     mat = f.entries
@@ -329,18 +329,12 @@ def conjugation_pullback(
         raise ValueError("intertwiner must be square")
     if np.linalg.cond(mat) > 1e12:
         raise np.linalg.LinAlgError("intertwiner is numerically singular")
-    if mode == "via_F":
-        j_new = np.linalg.inv(mat) @ c.J @ np.conj(mat)
-    elif mode == "via_EF":
-        j_new = mat.conj().T @ c.J @ np.conj(mat)
-    else:
-        raise ValueError(f"unknown pullback mode {mode!r}")
-    return ConjugationMatrix(j_new, f.domain)
+    return ConjugationMatrix(np.linalg.inv(mat) @ c.J @ np.conj(mat), f.domain)
 
 
 def pullback_compatibility_defect(c: ConjugationMatrix, f: OperatorMatrix) -> float:
-    """Size of ``J conj(F F^H) - F F^H J``; zero exactly when the pullback
-    candidates are antilinear-unitary."""
+    """Size of ``J conj(F F^H) - F F^H J``; zero exactly when the candidate
+    of :func:`conjugation_pullback` is antilinear-unitary."""
     frame = f.entries @ f.entries.conj().T
     return float(np.linalg.norm(c.J @ np.conj(frame) - frame @ c.J))
 
@@ -394,14 +388,15 @@ def subspace_angle(vectors_a, vectors_b) -> float:
     Taken as ``arctan2(sine, cosine)`` with the sine ``||Q_u - Q_v Q_v^H
     Q_u||_2`` and the cosine the smallest singular value of ``Q_u^H Q_v``
     (Knyazev and Argentati, SIAM J. Sci. Comput. 2002): the cosine alone
-    cannot resolve angles below ``sqrt(2 eps)``, about 2e-8.
+    cannot resolve angles below ``sqrt(2 eps)``, about 2e-8.  Two empty
+    spans are at angle 0, an empty and a nonempty one at ``pi / 2``.
     """
+    if not len(vectors_a) or not len(vectors_b):
+        return 0.0 if len(vectors_a) == len(vectors_b) else np.pi / 2
     u = np.column_stack([np.asarray(v, dtype=complex) for v in vectors_a])
     v = np.column_stack([np.asarray(w, dtype=complex) for w in vectors_b])
     qu, _ = np.linalg.qr(u)
     qv, _ = np.linalg.qr(v)
     s = np.linalg.svd(qu.conj().T @ qv, compute_uv=False)
-    if not s.size:
-        return 0.0
     sine = np.linalg.norm(qu - qv @ (qv.conj().T @ qu), 2)
     return float(np.arctan2(sine, np.min(s)))

@@ -60,6 +60,27 @@ def test_tracer_installs_and_removes():
         assert recorder.calls.get(name, 0) > 0, name
 
 
+def test_model_space_builds_coefficients_only():
+    # construction multiplies coefficient arrays; the reduced basis and the
+    # inner function as a RationalFn are built on first read
+    spans = load_spans()
+    recorder = spans.Recorder()
+    inner = mst.BlaschkeProduct((0.5, 1.0 / 3.0, -0.2j, 0.6 + 0.1j, 0.0, 0.5))
+    with spans.Tracer(mst, recorder):
+        space = mst.ModelSpace(inner)
+        built = dict(recorder.calls)
+        basis = space.basis
+        read = dict(recorder.calls)
+        rational = space.rational
+    assert built["modelspace.ModelSpace"] == 1
+    for name in ("rational.RationalFn", "rational.roots", "blaschke.to_rational"):
+        assert built.get(name, 0) == 0, name
+    assert read["rational.RationalFn"] == 6 and read["rational.roots"] > 0
+    assert read.get("blaschke.to_rational", 0) == 0
+    assert recorder.calls["blaschke.to_rational"] == 1
+    assert len(basis) == 6 and space.basis is basis and space.rational is rational
+
+
 def test_dual_equivalence_builds_nothing_exact():
     # the transport residual is computed on circle samples alone: no model
     # space is built and no Riesz split or exact pairing runs

@@ -19,6 +19,7 @@ from mst.modelspace import (
 )
 from mst.operators import tto_matrix
 from mst.rational import (
+    CirclePoleError,
     ComplexPoly,
     RationalFn,
     circle_conjugate,
@@ -74,6 +75,25 @@ class TestBasis:
             for row, e in zip(samples, build_space(inner).basis):
                 assert np.max(np.abs(row - e(z))) < 1e-13
         assert basis_samples(BlaschkeProduct(()), z).shape == (0, 64)
+
+    def test_change_of_basis_is_read_only(self):
+        space = build_space(ALPHA)
+        with pytest.raises(ValueError):
+            space.L[0, 0] = 5.0
+        assert np.array_equal(space.gram(), build_space(ALPHA).gram())
+
+    @pytest.mark.parametrize("gap", [1e-9, 5e-9])
+    def test_reflected_pole_in_band_is_rejected(self, gap):
+        # e_k has its pole at 1 / (1 - gap), within POLE_TOL of the circle;
+        # the constructor builds no RationalFn that would reject it
+        with pytest.raises(CirclePoleError):
+            build_space(BlaschkeProduct((1.0 - gap,)))
+        with pytest.raises(CirclePoleError):
+            build_space(BlaschkeProduct((0.3, (1.0 - gap) * np.exp(0.4j))))
+
+    def test_reflected_pole_outside_band_builds(self):
+        space = build_space(BlaschkeProduct((1.0 - 2e-8,)))
+        assert space.dim == 1 and len(space.basis) == 1
 
     def test_basis_elements_analytic_and_inside(self):
         rng = np.random.default_rng(29)
