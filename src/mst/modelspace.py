@@ -28,8 +28,11 @@ from .rational import (
     CirclePoleError,
     ComplexPoly,
     RationalFn,
+    _factors,
+    _gap_norm,
     _pair_with_conjugate,
     _pole_factors,
+    _reflect,
     _split_solve,
     circle_conjugate,
     inner_product,
@@ -216,9 +219,11 @@ def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
     (:func:`rational._split_solve`) with nothing reduced; the backward shift
     then reads the coordinates off every ``W_j / (D_out T_j)`` together.  The
     residual of a column is ``sqrt(||A_j / D_in||^2 + ||W_j / (D_out T_j) - P
-    f_j||^2) / (1 + ||f_j||)``, the distance measured with exact ``norm2``
-    pairings against the coordinates found, so it stays independent of the
-    recursion.
+    f_j||^2) / (1 + ||f_j||)``, the distance measured against the
+    coordinates found by the exact pairing kernel on the arrays at hand
+    (:func:`rational._pair_with_conjugate`: ``D_in`` inside, ``Q_j``,
+    ``D_full`` and ``D_out`` outside), so it stays independent of the
+    recursion and builds no ``RationalFn``.
     """
     count = len(parts)
     coords = np.zeros((space.dim, count), dtype=complex)
@@ -232,21 +237,26 @@ def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
         nums, antis = _columns(rhs), None
     else:
         dens = [np.convolve(d_out.coeffs, t) for _, t in parts]
-        nums, antis = _split_solve(d_in.coeffs, rhs, dens)
+        sol = _split_solve([d_in.coeffs] * count, rhs, dens)
+        nums, antis = sol[d_in.degree :], sol[: d_in.degree]
     if space.dim:
         coords = _backward_shift(space.inner.zeros, nums, _columns(dens))
     if residuals:
+        # f_j's analytic part minus P f_j = (L c_j) / D_full is (W_j D_full
+        # - Q_j L c_j) / (Q_j D_full); its norm and that of A_j / D_in are
+        # one kernel call for all columns
         full = space._den_full.coeffs
+        parts = []
         for j, q in enumerate(dens):
-            # P f_j = (L c_j) / D_full, so f_j's analytic part minus it is
-            # (W_j D_full - Q_j L c_j) / (Q_j D_full)
             gap = np.convolve(nums[:, j], full)
             if space.dim:
                 gap = npp.polysub(gap, np.convolve(q, space.L @ coords[:, j]))
-            gap = RationalFn(gap, np.convolve(q, full))
-            anti = 0.0 if antis is None else norm2(RationalFn(antis[:, j], d_in))
-            r2 = anti**2 + norm2(gap) ** 2
-            res[j] = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords[:, j]) ** 2)))
+            parts.append((gap, _ONE, np.convolve(q, full)))
+        if antis is not None:
+            parts += [(antis[:, j], d_in.coeffs, _ONE) for j in range(count)]
+        r2 = np.maximum(_pair_with_conjugate(parts, [_reflect(u) for u in parts]).real, 0.0)
+        r2 = r2.reshape(-1, count).sum(axis=0)
+        res[:] = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords) ** 2, axis=0)))
     return coords, res
 
 
@@ -334,18 +344,20 @@ def projection_transport_defect(
     P_target (conj(a)^-1 P_source (conj(a) f))``.  The larger of the two
     deviations, divided by ``1 + ||P_target f||``."""
     lhs = target.project(f)
-    scale = 1.0 + norm2(lhs)
     a_bar = circle_conjugate(a)
-    forward = norm2(a * source.project(a.inverse() * lhs) - lhs) / scale
+    forward = a * source.project(a.inverse() * lhs)
     rhs = target.project(a_bar.inverse() * source.project(a_bar * f))
-    return max(forward, norm2(rhs - lhs) / scale)
+    return max(_gap_norm(forward, lhs), _gap_norm(rhs, lhs)) / (1.0 + norm2(lhs))
 
 
 def annihilator_defect(source: ModelSpace, a: RationalFn, g: RationalFn) -> float:
     """``||P_source (conj(a) g)|| / (1 + ||g||)``: zero when ``g`` is
     orthogonal to the target space of the multiplier ``a``, because
-    ``conj(a)`` carries that annihilator into the source's."""
-    return norm2(source.project(circle_conjugate(a) * g)) / (1.0 + norm2(g))
+    ``conj(a)`` carries that annihilator into the source's.  The basis is
+    orthonormal, so the projection's norm is that of its coordinates, which
+    no coefficient trim rounds to 0."""
+    coords = source.coordinates(circle_conjugate(a) * g)
+    return float(np.linalg.norm(coords)) / (1.0 + norm2(g))
 
 
 def crofoot_multiplier(space: ModelSpace, w: complex):
@@ -365,11 +377,22 @@ def crofoot_defect_matrix(space: ModelSpace, j: RationalFn) -> np.ndarray:
     compression of ``1 - |j|^2``, zero exactly when multiplication by ``j``
     is isometric on the space.  Unlike the exact compression of that
     degree-doubled symbol, it keeps its digits when the poles of ``j`` come
-    near the circle."""
-    images = [j * e for e in space.basis]
-    conj_images = [circle_conjugate(v) for v in images]
-    gram = np.array([[_pair_with_conjugate(u, vb) for vb in conj_images] for u in images]).T
-    return gram - np.eye(space.dim)
+    near the circle.
+
+    Each image ``j * e_k`` is built reduced once, from ``j`` and the basis
+    coefficients, and split at the circle once (:func:`rational._factors`);
+    its conjugate's factors are the reflections.  All ``n^2`` pairings are
+    one call of the pairing kernel, one stacked split solve
+    (:func:`rational._pair_with_conjugate`): at degree ``n`` that is ``n``
+    ``RationalFn`` builds and ``2n`` root solves, with no Riesz split.
+    Reducing each image matters: one common denominator for all of them
+    loses digits when the poles of ``j`` near the circle.
+    """
+    images = [_factors(RationalFn(j.num * ComplexPoly(p), j.den * ComplexPoly(t)))
+              for p, t in space._parts]
+    conj_images = [_reflect(v) for v in images]
+    gram = _pair_with_conjugate(images * space.dim, [v for v in conj_images for _ in images])
+    return gram.reshape(space.dim, space.dim) - np.eye(space.dim)
 
 
 def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool:
@@ -386,7 +409,10 @@ def crofoot_gram_check(space: ModelSpace, j: RationalFn) -> tuple:
     symbol ``1 - |j|^2`` at ``ZERO_SYMBOL_TOL`` (the defect matrix is minus
     the compression of that symbol)."""
     defect = crofoot_defect_matrix(space, j)
-    symbol = RationalFn.one() - j * circle_conjugate(j)
+
+    def symbol(z):  # 1 - |j|^2, only ever sampled on the circle
+        return 1.0 - np.abs(j(z)) ** 2
+
     return float(np.linalg.norm(defect)), _entries_vanish(defect, symbol, ZERO_SYMBOL_TOL)
 
 

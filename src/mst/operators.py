@@ -220,14 +220,20 @@ def transport_spaces(
 
 @dataclass
 class BrownHalmosCheck:
-    """Residual of the product-splitting identity plus the hypothesis flag.
+    """Residual of the product-splitting identity plus the hypothesis side.
 
-    When ``hypothesis_ok`` is false the residual is still reported but the
-    identity carries no guarantee.
+    ``side`` names the inclusion that established the hypothesis: ``"phi"``
+    for ``phi * k1`` inside ``mid``, ``"psi"`` for ``conj(psi) * k2`` inside
+    ``mid``, ``None`` when neither holds.  Without a side the residual is
+    still reported but the identity carries no guarantee.
     """
 
     residual: float
-    hypothesis_ok: bool
+    side: str | None
+
+    @property
+    def hypothesis_ok(self) -> bool:
+        return self.side is not None
 
 
 def brown_halmos_product(
@@ -242,16 +248,16 @@ def brown_halmos_product(
     element has a membership residual in ``mid`` below ``MEMBERSHIP_TOL``.
     The pass of ``phi`` over ``k1`` into ``mid`` gives both the right factor
     and its residuals; the ``conj(psi)`` side runs only when that side
-    fails.
+    fails, and the check reports the side that held first.
     """
     product = tto_matrix(k1, k2, psi * phi).entries
     left = tto_matrix(mid, k2, psi).entries
     right, residuals = mid.coordinates(phi, over=k1, residuals=True)
-    hypothesis_ok = bool(np.all(residuals < MEMBERSHIP_TOL))
-    if not hypothesis_ok:
+    side = "phi" if np.all(residuals < MEMBERSHIP_TOL) else None
+    if side is None:
         _, residuals = mid.coordinates(circle_conjugate(psi), over=k2, residuals=True)
-        hypothesis_ok = bool(np.all(residuals < MEMBERSHIP_TOL))
-    return BrownHalmosCheck(_relative_defect(product, left @ right), hypothesis_ok)
+        side = "psi" if np.all(residuals < MEMBERSHIP_TOL) else None
+    return BrownHalmosCheck(_relative_defect(product, left @ right), side)
 
 
 @dataclass

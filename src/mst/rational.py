@@ -23,6 +23,12 @@ Conventions
 * The polynomial kernels run the floating-point operations of the numpy
   routines they replace, in the same order, without the per-call wrapper
   work, so every result is bit-for-bit numpy's.
+* Every exact pairing goes through one kernel, ``_pair_with_conjugate``,
+  on coefficient arrays: each operand's denominator is split at the circle
+  once (one root solve), the conjugate's factors are the reflections
+  (reversed, conjugated arrays and a power of ``z``), and the zeroth Fourier
+  coefficient of the product is read from one split solve.  An inner
+  product or a norm builds no ``RationalFn`` and makes no Riesz split.
 """
 
 from __future__ import annotations
@@ -563,30 +569,32 @@ def _pole_factors(den: ComplexPoly):
     return ComplexPoly.from_roots(inside) * ComplexPoly.monomial(v), ComplexPoly.from_roots(outside)
 
 
-def _split_solve(d_in: np.ndarray, rhs, outs):
-    """Solve ``W_j * D_in + A_j * Q_j = R_j`` with ``deg A_j < deg D_in`` for
-    every ``j`` at once, given the ascending coefficients of ``D_in``, of each
-    ``R_j`` (``rhs``) and of each ``Q_j`` (``outs``), whose roots all lie
-    outside the closed disk.
+def _split_solve(d_ins, rhs, outs):
+    """Solve ``W_j * D_j + A_j * Q_j = R_j`` with ``deg A_j < deg D_j`` for
+    every ``j`` at once, given the ascending coefficients of each ``D_j``
+    (``d_ins``), whose roots all lie in the open disk, of each ``R_j``
+    (``rhs``) and of each ``Q_j`` (``outs``), whose roots all lie outside the
+    closed disk.
 
     Each coefficient system is square, with ``deg W_j = max(deg R_j - deg
-    D_in, deg Q_j - 1, 0)``, and nonsingular because ``D_in`` and ``Q_j`` share
+    D_j, deg Q_j - 1, 0)``, and nonsingular because ``D_j`` and ``Q_j`` share
     no root.  The systems are padded with identity blocks to one size,
     column-scaled and solved in one stacked call, then refined twice with
     residuals in extended precision, which recovers the digits clusters of
-    near-circle poles cost the solve.  Returns the zero-padded coefficient
-    columns of every ``W_j`` and ``A_j``.
+    near-circle poles cost the solve.  Returns one column per system: the
+    coefficients of ``A_j`` in its first ``deg D_j`` rows, then those of
+    ``W_j``, zero-padded.
     """
-    mi = len(d_in) - 1
-    sizes = [max(len(r), len(q) - 1 + mi, mi + 1) for r, q in zip(rhs, outs)]
+    mis = [len(d) - 1 for d in d_ins]
+    sizes = [max(len(r), len(q) - 1 + mi, mi + 1) for r, q, mi in zip(rhs, outs, mis)]
     size, count = max(sizes), len(sizes)
     m = np.zeros((count, size, size), dtype=complex)
     b = np.zeros((count, size), dtype=complex)
-    for j, (r, q, s) in enumerate(zip(rhs, outs, sizes)):
+    for j, (d, r, q, s, mi) in enumerate(zip(d_ins, rhs, outs, sizes, mis)):
         for i in range(mi):
             m[j, i : i + len(q), i] = q
         for k in range(s - mi):
-            m[j, k : k + mi + 1, mi + k] = d_in
+            m[j, k : k + mi + 1, mi + k] = d
         m[j, range(s, size), range(s, size)] = 1.0
         b[j, : len(r)] = r
     scale = np.linalg.norm(m, axis=1)
@@ -597,8 +605,7 @@ def _split_solve(d_in: np.ndarray, rhs, outs):
     for _ in range(2):
         residual = (b_wide - ms_wide @ sol.astype(np.clongdouble)).astype(complex)
         sol = sol + np.linalg.solve(ms, residual)
-    sol = (sol[..., 0] / scale).T
-    return sol[mi:], sol[:mi]
+    return (sol[..., 0] / scale).T
 
 
 def riesz_project(f: RationalFn) -> FourierSplit:
@@ -619,8 +626,8 @@ def riesz_project(f: RationalFn) -> FourierSplit:
     if d_out.degree == 0:
         quo, rem = f.num.divmod(d_in)  # division by an all-inside monic: stable
         return FourierSplit(RationalFn(quo), RationalFn(rem, d_in))
-    w_part, a_part = _split_solve(d_in.coeffs, [f.num.coeffs], [d_out.coeffs])
-    return FourierSplit(RationalFn(w_part[:, 0], d_out), RationalFn(a_part[:, 0], d_in))
+    sol = _split_solve([d_in.coeffs], [f.num.coeffs], [d_out.coeffs])[:, 0]
+    return FourierSplit(RationalFn(sol[d_in.degree :], d_out), RationalFn(sol[: d_in.degree], d_in))
 
 
 def antianalytic_residual(f: RationalFn) -> float:
@@ -635,24 +642,90 @@ def riesz_selfadjoint_defect(f: RationalFn, g: RationalFn) -> float:
     return abs(lhs - inner_product(f, riesz_project(g).analytic))
 
 
-def _pair_with_conjugate(f: RationalFn, gbar: RationalFn) -> complex:
-    """Zeroth Fourier coefficient of ``f * gbar`` (``gbar`` pre-conjugated)."""
-    h = f * gbar
-    if h.is_zero:
-        return 0.0 + 0.0j
-    analytic = riesz_project(h).analytic
-    if analytic.is_zero:
-        return 0.0 + 0.0j
-    return complex(analytic(0.0))
+_ONE = np.ones(1, dtype=complex)
+_ZERO = np.zeros(1, dtype=complex)
+
+
+def _factors(f: RationalFn):
+    """``(num, D_in, D_out)`` coefficient arrays with ``f = num / (D_in *
+    D_out)``, from one :func:`_pole_factors` split.  When every pole lies
+    on one side the factor there is ``f``'s own denominator, not its
+    reconstruction from roots."""
+    d_in, d_out = _pole_factors(f.den)
+    num = _ZERO if f.is_zero else f.num.coeffs
+    if d_in.degree == 0:
+        return num, _ONE, f.den.coeffs
+    if d_out.degree == 0:
+        return num, f.den.coeffs, _ONE
+    return num, d_in.coeffs, d_out.coeffs
+
+
+def _reflect(f):
+    """Factors of the circle conjugate of the factored ``f = (num, D_in,
+    D_out)``.  On the circle ``conj(P) = z**-d P#`` for a coefficient array
+    of length ``d + 1``, with ``P#`` the array reversed and conjugated; so
+    ``D_out#`` carries the reflected poles inside the disk, ``D_in#`` those
+    outside, and the power of ``z`` multiplies the numerator or, when
+    negative, the inside factor.  No root is solved for and nothing is
+    trimmed but exact zeros."""
+    num, d_in, d_out = f
+    shift = len(d_in) + len(d_out) - len(num) - 1
+    num_r, inside = np.conj(num[::-1]), np.conj(d_out[::-1])
+    if shift > 0:
+        num_r = np.concatenate((np.zeros(shift, dtype=complex), num_r))
+    elif shift < 0:
+        inside = np.concatenate((np.zeros(-shift, dtype=complex), inside))
+    low = int(np.flatnonzero(d_in)[0]) if d_in[0] == 0 else 0  # the origin power
+    return num_r, inside, np.conj(d_in[low:][::-1])
+
+
+def _pair_with_conjugate(fs, gbars) -> np.ndarray:
+    """Zeroth Fourier coefficient of every product ``f * gbar`` over the
+    factored operands ``fs[j]`` and ``gbars[j]`` (``gbar`` pre-conjugated,
+    see :func:`_reflect`), read straight from the coefficient arrays.
+
+    The product is ``N / (D_in D_out)`` with ``D_in = f_in gbar_in`` inside
+    and ``D_out = f_out gbar_out`` outside the disk, so ``N = W D_in + A
+    D_out`` with ``deg A < deg D_in`` leaves ``A / D_in`` with negative
+    frequencies only and the coefficient is ``W(0) / D_out(0)``.  The splits
+    of all pairs are one :func:`_split_solve`; when nothing lies inside any
+    product the coefficients are ``N(0) / D(0)`` with no solve.
+    """
+    d_ins = [np.convolve(f[1], g[1]) for f, g in zip(fs, gbars)]
+    nums = [np.convolve(f[0], g[0]) for f, g in zip(fs, gbars)]
+    outs = [np.convolve(f[2], g[2]) for f, g in zip(fs, gbars)]
+    at_zero = np.array([q[0] for q in outs])
+    if all(len(d) == 1 for d in d_ins):
+        return np.array([n[0] / d[0] for n, d in zip(nums, d_ins)]) / at_zero
+    sol = _split_solve(d_ins, nums, outs)
+    return sol[[len(d) - 1 for d in d_ins], range(len(d_ins))] / at_zero
+
+
+def _gap_norm(f: RationalFn, g: RationalFn) -> float:
+    """``||f - g||`` from the pairing kernel on the untrimmed numerator
+    ``n_f d_g - n_g d_f`` over the factors of both denominators, so a
+    difference below the coefficient trim still reads its size."""
+    nf, f_in, f_out = _factors(f)
+    ng, g_in, g_out = _factors(g)
+    num = npp.polysub(np.convolve(nf, np.convolve(g_in, g_out)),
+                      np.convolve(ng, np.convolve(f_in, f_out)))
+    return _factored_norm((num, np.convolve(f_in, g_in), np.convolve(f_out, g_out)))
+
+
+def _factored_norm(f) -> float:
+    """``L^2`` norm of the factored ``f``: one kernel call against its
+    reflection."""
+    return float(np.sqrt(max(_pair_with_conjugate([f], [_reflect(f)])[0].real, 0.0)))
 
 
 def inner_product(f: RationalFn, g: RationalFn) -> complex:
     """``L^2`` pairing against normalized Lebesgue measure on the circle.
 
-    Evaluated through residues: the integral of ``f * conj(g)`` equals the
-    zeroth Fourier coefficient of ``f * circle_conjugate(g)``.
+    The integral of ``f * conj(g)`` is the zeroth Fourier coefficient of
+    ``f`` times ``g``'s circle conjugate, whose factors are ``g``'s reflected
+    (:func:`_reflect`): one pole split of each operand and one kernel call.
     """
-    return _pair_with_conjugate(f, circle_conjugate(g))
+    return complex(_pair_with_conjugate([_factors(f)], [_reflect(_factors(g))])[0])
 
 
 def _anti_tail(anti: RationalFn, count: int) -> np.ndarray:
@@ -707,8 +780,8 @@ def parseval_defect(f: RationalFn, g: RationalFn, nmax: int) -> float:
 
 
 def norm2(f: RationalFn) -> float:
-    """``L^2`` norm on the circle."""
-    return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
+    """``L^2`` norm on the circle, from one pole split of ``f``."""
+    return _factored_norm(_factors(f))
 
 
 def unit_circle_samples(m: int) -> np.ndarray:

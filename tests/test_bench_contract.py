@@ -93,3 +93,35 @@ def test_dual_equivalence_builds_nothing_exact():
     assert residual < 1e-12
     for name in ("modelspace.ModelSpace", "rational.pair", "rational.riesz_project"):
         assert recorder.calls.get(name, 0) == 0, name
+
+
+def test_pairings_build_nothing_exact():
+    # the pairing kernel reads coefficient arrays: an inner product or a norm
+    # builds no RationalFn and runs no Riesz split, and a crofoot defect
+    # matrix builds only its n reduced images, splitting each once, and
+    # pairs them in one kernel call
+    spans = load_spans()
+    f = mst.RationalFn(mst.ComplexPoly([1.0, 0.5j, 0.2]), mst.ComplexPoly.from_roots([0.5, 2.0j]))
+    g = mst.RationalFn(mst.ComplexPoly([0.3, 1.0]), mst.ComplexPoly.from_roots([-0.4j, 1.5]))
+    space = mst.ModelSpace(mst.BlaschkeProduct((0.5, 1.0 / 3.0, -0.2j, 0.6 + 0.1j, 0.0, 0.5)))
+    j, _ = mst.crofoot_multiplier(space, 0.3 - 0.4j)
+    counts = {}
+    for name, call in (("inner_product", lambda: mst.inner_product(f, g)),
+                       ("norm2", lambda: mst.norm2(f)),
+                       ("crofoot", lambda: mst.modelspace.crofoot_defect_matrix(space, j))):
+        recorder = spans.Recorder()
+        with spans.Tracer(mst, recorder):
+            call()
+        counts[name] = recorder.calls
+        for layer in ("rational.riesz_project", "rational.circle_conjugate"):
+            assert recorder.calls.get(layer, 0) == 0, (name, layer)
+    for name in ("inner_product", "norm2"):
+        assert counts[name].get("rational.RationalFn", 0) == 0, name
+        assert counts[name]["rational.pair"] == 1, name
+    assert counts["inner_product"]["rational.roots"] == 2
+    assert counts["norm2"]["rational.roots"] == 1
+    assert counts["crofoot"]["rational.RationalFn"] == space.dim
+    assert counts["crofoot"]["rational.roots"] == 2 * space.dim
+    assert counts["crofoot"]["rational.pair"] == 1
+    # perfbench/selftest.py checks the tracer through this module attribute
+    assert mst.modelspace._pair_with_conjugate is mst.rational._pair_with_conjugate

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mst.verify
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
     NoMultiplierError,
@@ -382,6 +383,22 @@ class TestMultiplier:
             for _ in range(10):
                 assert projection_transport_defect(src, dst, a, random_rational(rng)) < 1e-9
 
+    @pytest.mark.parametrize("seed", (2024, 3027, 4036))
+    def test_projection_transport_reads_its_size(self, seed, monkeypatch):
+        # every draw of the model suite: the deviation is rounding, neither
+        # a difference trimmed to the zero polynomial nor a clamped negative
+        # self-pairing, so it reads above 0 and far below the tolerance
+        seen = []
+
+        def record(*args):
+            seen.append(projection_transport_defect(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mst.verify, "projection_transport_defect", record)
+        mst.verify.run_suite("model", seed)
+        assert len(seen) == 50
+        assert all(0.0 < r < 1e-9 for r in seen), (min(seen), max(seen))
+
     def test_projection_transport_negative_control(self):
         # a * (1 + z/2) carries the source into no model space at all
         src, dst = build_space(Z2), build_space(ALPHA)
@@ -403,7 +420,7 @@ class TestMultiplier:
             )
             anti = anti - riesz_project(anti).analytic  # keep strictly negative part
             g = theta_dst * analytic_tail + anti
-            assert annihilator_defect(src, a, g) < 1e-9
+            assert 0.0 < annihilator_defect(src, a, g) < 1e-9  # rounding, not trimmed to 0
         # negative control: a basis element of the target is no annihilator
         assert annihilator_defect(src, a, dst.basis[0]) > 1e-3
 
@@ -448,6 +465,18 @@ class TestCrofoot:
             assert np.max(np.abs(defect + tto_matrix(space, space, symbol).entries)) < 1e-12
             residual, vanishes = crofoot_gram_check(space, j)
             assert residual == float(np.linalg.norm(defect)) and vanishes
+
+    def test_defect_matrix_with_a_pole_inside(self):
+        # j = 1 / (z - 1/2) has its pole at a zero of ALPHA: e_1 cancels it
+        # and e_0 keeps it, so the images' inside factors differ and each
+        # pairing takes its own split; the Gram matrix still matches the
+        # trapezoidal rule
+        space = build_space(ALPHA)
+        j = RationalFn(ComplexPoly([1.0]), ComplexPoly([-0.5, 1.0]))
+        z = unit_circle_samples(512)
+        images = basis_samples(ALPHA, z) * j(z)
+        expected = np.conj(images) @ images.T / z.size - np.eye(space.dim)
+        assert np.max(np.abs(crofoot_defect_matrix(space, j) - expected)) < 1e-13
 
     def test_gram_check_negative_control(self):
         # 2 J doubles every image norm

@@ -51,20 +51,23 @@ def two_pass_brown_halmos(k1, mid, k2, psi, phi):
     """The product-splitting residual and hypothesis by separate passes:
     per-element membership on either side, then the three compressions."""
     psi_bar = circle_conjugate(psi)
-    hypothesis_ok = all(mid.contains(phi * e) for e in k1.basis) or all(
-        mid.contains(psi_bar * e) for e in k2.basis
-    )
+    side = None
+    if all(mid.contains(phi * e) for e in k1.basis):
+        side = "phi"
+    elif all(mid.contains(psi_bar * e) for e in k2.basis):
+        side = "psi"
     product = tto_matrix(k1, k2, psi * phi).entries
     right = tto_matrix(k1, mid, phi).entries
     diff = product - tto_matrix(mid, k2, psi).entries @ right
     residual = float(np.linalg.norm(diff) / (1.0 + np.linalg.norm(product)))
-    return residual, hypothesis_ok
+    return residual, side
 
 
 def assert_matches_two_pass(check, *args):
-    residual, hypothesis_ok = two_pass_brown_halmos(*args)
+    residual, side = two_pass_brown_halmos(*args)
     assert check.residual == residual
-    assert check.hypothesis_ok == hypothesis_ok
+    assert check.side == side
+    assert check.hypothesis_ok == (side is not None)
 
 
 def example_symbol_65():
@@ -319,7 +322,7 @@ class TestBrownHalmos:
         rng = np.random.default_rng(13)
         psi = random_rational(rng)
         check = brown_halmos_product(K_Z2, K_ALPHA, K_Z3, psi, A_MULT)
-        assert check.hypothesis_ok
+        assert check.hypothesis_ok and check.side == "phi"
         assert check.residual < 1e-9
         assert_matches_two_pass(check, K_Z2, K_ALPHA, K_Z3, psi, A_MULT)
 
@@ -357,7 +360,7 @@ class TestBrownHalmos:
         for _ in range(3):
             phi = random_rational(rng)
             check = brown_halmos_product(K_Z2, K_Z3, K_Z2, zbar, phi)
-            assert check.hypothesis_ok
+            assert check.hypothesis_ok and check.side == "psi"
             assert check.residual < 1e-12
             assert_matches_two_pass(check, K_Z2, K_Z3, K_Z2, zbar, phi)
 
@@ -366,7 +369,7 @@ class TestBrownHalmos:
         # phi = 1 does not map K_z2 into the smaller space K_z, and psi = zbar
         # does not map its complement correctly either: the identity breaks
         check = brown_halmos_product(K_Z2, k_z, K_Z2, RationalFn.monomial(-1), ONE)
-        assert not check.hypothesis_ok
+        assert not check.hypothesis_ok and check.side is None
         assert check.residual > 1e-3
         assert_matches_two_pass(check, K_Z2, k_z, K_Z2, RationalFn.monomial(-1), ONE)
 

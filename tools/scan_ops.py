@@ -30,15 +30,19 @@ are imported) shows every output that is not bit-identical.  Items:
 * ``tto_large`` ops 0-3, seed 1: the matrix;
 * ``demos/*.py``: standard output of each demo script, run in process.
 
-``sweep`` measures ``tto_matrix`` and ``conjugation_matrix`` against the
-benchmark's quadrature oracle (``perfbench/oracle.py``, imported
-read-only) over degrees ``n`` in {2, 4, 8, 16, 24, 32}, zero radius 0.8 and
-0.95 and 10 draws per cell; every third draw repeats a zero.  The
-compression runs between two spaces, with a symbol of degree 4 with two
-poles inside and two outside the circle at margin 0.2
-(``workloads.random_symbol``); the conjugation gets a random unimodular
-constant.  Each line is one cell: the median and largest relative
-deviation and the median call time of each function.
+``sweep`` measures ``tto_matrix``, ``conjugation_matrix`` and, at ``n <=
+16``, ``crofoot_defect_matrix`` against the benchmark's quadrature oracle
+(``perfbench/oracle.py``, imported read-only) over degrees ``n`` in {2, 4,
+8, 16, 24, 32}, zero radius 0.5, 0.8 and 0.95 and 10 draws per cell; every
+third draw repeats a zero.  The compression runs between two spaces, with a
+symbol of degree 4 with two poles inside and two outside the circle at
+margin 0.2 (``workloads.random_symbol``); the conjugation gets a random
+unimodular constant; the Crofoot multiplier ``J`` of the domain space takes
+a shift ``w`` drawn in the disk of the zero radius, and its defect matrix is
+compared with ``G - I`` for the quadrature Gram matrix ``G`` of ``J e_k``,
+on nodes counted from the zeros and the roots of ``J``'s denominator.  Each
+line is one cell: the median and largest relative deviation and the median
+call time of each function (``-`` where a function is not run).
 """
 
 from __future__ import annotations
@@ -158,8 +162,9 @@ def digest(mst, workloads, root):
 
 
 SWEEP_DEGREES = (2, 4, 8, 16, 24, 32)
-SWEEP_RADII = (0.8, 0.95)
+SWEEP_RADII = (0.5, 0.8, 0.95)
 SWEEP_DRAWS = 10
+CROFOOT_MAX_DEGREE = 16
 
 
 def sweep_draw(workloads, n, radius, draw):
@@ -170,7 +175,8 @@ def sweep_draw(workloads, n, radius, draw):
             z[-1] = z[0]
     num, poles = workloads.random_symbol(rng, 4, 2, 2)
     constant = np.exp(2j * np.pi * rng.uniform())
-    return zeros, num, poles, constant
+    w = complex(workloads.disk_points(rng, 1, radius)[0])
+    return zeros, num, poles, constant, w
 
 
 def timed(call):
@@ -179,15 +185,37 @@ def timed(call):
     return result, time.perf_counter() - start
 
 
+def crofoot_cell(mst, oracle, k_dom, dom, constant, w):
+    """Deviation and call time of ``crofoot_defect_matrix`` for the
+    multiplier of shift ``w`` on ``k_dom``, against the quadrature Gram
+    matrix of ``J e_k``."""
+    j, _ = mst.crofoot_multiplier(k_dom, w)
+    defect, seconds = timed(lambda: mst.modelspace.crofoot_defect_matrix(k_dom, j))
+    poles = np.roots(j.den.coeffs[::-1]) if j.den.degree > 0 else []
+    z = oracle.nodes(oracle.node_count(np.concatenate([dom, poles])))
+    j_z = np.sqrt(1.0 - abs(w) ** 2) / (1.0 - np.conj(w) * oracle.blaschke(dom, z, constant))
+    images = oracle.tm_basis(dom, z) * j_z
+    reference = np.conj(images) @ images.T / z.size - np.eye(len(dom))
+    return oracle.rel_dev(defect, reference), seconds
+
+
+def cell_text(values):
+    if values is None:
+        return "-"
+    dev, seconds = np.array(values).T
+    return f"{np.median(dev):.2e} {np.max(dev):.2e} {np.median(seconds):.2e}"
+
+
 def sweep(mst, workloads):
     oracle = workloads.oracle
     print("n radius | tto_matrix: median max deviation, median s"
-          " | conjugation_matrix: median max deviation, median s")
+          " | conjugation_matrix: median max deviation, median s"
+          " | crofoot_defect_matrix: median max deviation, median s")
     for n in SWEEP_DEGREES:
         for radius in SWEEP_RADII:
-            rows = []
+            tto_rows, conj_rows, crofoot_rows = [], [], []
             for draw in range(SWEEP_DRAWS):
-                (dom, cod), num, poles, constant = sweep_draw(workloads, n, radius, draw)
+                (dom, cod), num, poles, constant, w = sweep_draw(workloads, n, radius, draw)
                 k_dom = mst.ModelSpace(mst.BlaschkeProduct(tuple(dom), constant))
                 k_cod = mst.ModelSpace(mst.BlaschkeProduct(tuple(cod)))
                 symbol = mst.RationalFn(mst.ComplexPoly(num),
@@ -195,16 +223,15 @@ def sweep(mst, workloads):
                 tto, tto_s = timed(lambda: mst.tto_matrix(k_dom, k_cod, symbol).entries)
                 z = oracle.nodes(oracle.node_count(np.concatenate([dom, cod, poles])))
                 ref = oracle.compression(dom, cod, workloads.SampledSymbol(num, poles)(z), z)
+                tto_rows.append((oracle.rel_dev(tto, ref), tto_s))
                 conj, conj_s = timed(lambda: mst.conjugation_matrix(k_dom).J)
                 e = oracle.tm_basis(dom, z)
                 image = oracle.blaschke(dom, z, constant) * np.conj(z * e)
-                conj_ref = np.conj(e) @ image.T / z.size
-                rows.append((oracle.rel_dev(tto, ref), tto_s,
-                             oracle.rel_dev(conj, conj_ref), conj_s))
-            t_dev, t_s, c_dev, c_s = np.array(rows).T
-            print(f"{n:2d} {radius:.2f} | {np.median(t_dev):.2e} {np.max(t_dev):.2e} "
-                  f"{np.median(t_s):.2e} | {np.median(c_dev):.2e} {np.max(c_dev):.2e} "
-                  f"{np.median(c_s):.2e}", flush=True)
+                conj_rows.append((oracle.rel_dev(conj, np.conj(e) @ image.T / z.size), conj_s))
+                if n <= CROFOOT_MAX_DEGREE:
+                    crofoot_rows.append(crofoot_cell(mst, oracle, k_dom, dom, constant, w))
+            print(f"{n:2d} {radius:.2f} | {cell_text(tto_rows)} | {cell_text(conj_rows)} "
+                  f"| {cell_text(crofoot_rows or None)}", flush=True)
 
 
 def main(argv=None) -> int:
