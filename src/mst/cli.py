@@ -1,9 +1,10 @@
 """Batch front-end: parse problem inputs, dispatch, emit JSON or CSV.
 
 Exit codes: 0 on success, 1 on input errors (malformed JSON or shorthand,
-schema violations), 2 on verification failures (a residual above tolerance
-or a mathematically negative verdict).  Tolerances come from ``--tol``,
-then the ``MST_TOL`` environment variable, then per-command defaults.
+schema violations, non-finite or degenerate values), 2 on verification
+failures (a residual above tolerance or a mathematically negative verdict).
+Tolerances come from ``--tol``, then the ``MST_TOL`` environment variable,
+then per-command defaults.
 """
 
 from __future__ import annotations
@@ -538,7 +539,7 @@ def run_command(argv) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "csv" and csv is not None:

@@ -31,7 +31,6 @@ from .rational import (
     _factors,
     _gap_norm,
     _pair_with_conjugate,
-    _pole_factors,
     _reflect,
     _split_solve,
     circle_conjugate,
@@ -230,15 +229,15 @@ def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
     res = np.zeros(count)
     if f.is_zero or count == 0 or not (space.dim or residuals):
         return coords, res
-    d_in, d_out = _pole_factors(f.den)
-    rhs = [np.convolve(f.num.coeffs, p) for p, _ in parts]
-    if d_in.degree == 0:
-        dens = [np.convolve(f.den.coeffs, t) for _, t in parts]
+    num, d_in, d_out = _factors(f)
+    mi = len(d_in) - 1
+    rhs = [np.convolve(num, p) for p, _ in parts]
+    dens = [np.convolve(d_out, t) for _, t in parts]
+    if mi == 0:
         nums, antis = _columns(rhs), None
     else:
-        dens = [np.convolve(d_out.coeffs, t) for _, t in parts]
-        sol = _split_solve([d_in.coeffs] * count, rhs, dens)
-        nums, antis = sol[d_in.degree :], sol[: d_in.degree]
+        sol = _split_solve([d_in] * count, rhs, dens)
+        nums, antis = sol[mi:], sol[:mi]
     if space.dim:
         coords = _backward_shift(space.inner.zeros, nums, _columns(dens))
     if residuals:
@@ -253,7 +252,7 @@ def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
                 gap = npp.polysub(gap, np.convolve(q, space.L @ coords[:, j]))
             parts.append((gap, _ONE, np.convolve(q, full)))
         if antis is not None:
-            parts += [(antis[:, j], d_in.coeffs, _ONE) for j in range(count)]
+            parts += [(antis[:, j], d_in, _ONE) for j in range(count)]
         r2 = np.maximum(_pair_with_conjugate(parts, [_reflect(u) for u in parts]).real, 0.0)
         r2 = r2.reshape(-1, count).sum(axis=0)
         res[:] = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords) ** 2, axis=0)))

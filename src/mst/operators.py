@@ -82,9 +82,6 @@ class OperatorMatrix:
             return 1.0
         return float(np.linalg.cond(self.entries))
 
-    def inv(self) -> "OperatorMatrix":
-        return OperatorMatrix(np.linalg.inv(self.entries), self.codomain, self.domain)
-
 
 def tto_matrix(domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn) -> OperatorMatrix:
     """Compression of multiplication by ``symbol`` between the two spaces:

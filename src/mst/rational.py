@@ -33,6 +33,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,15 @@ class PoleSplitError(ValueError):
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Strip trailing coefficients that vanish relative to the array scale."""
+    """Strip trailing coefficients that vanish relative to the array scale;
+    a non-finite coefficient raises ``ValueError``."""
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size == 0:
         return c
     mags = np.abs(c)
     scale = float(mags.max())
+    if not math.isfinite(scale):
+        raise ValueError("coefficients must be finite")
     if scale == 0.0:
         return c[:0]
     keep = (mags > _TRIM * max(1.0, scale)).nonzero()[0]
@@ -237,15 +241,6 @@ class ComplexPoly:
         return ComplexPoly(np.convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
-
-    def divmod(self, other: "ComplexPoly"):
-        """Euclidean division ``self = quo * other + rem``."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or self.degree < other.degree:
-            return ComplexPoly(), self
-        quo, rem = npp.polydiv(self.coeffs, other.coeffs)
-        return ComplexPoly(quo), ComplexPoly(rem)
 
     def __repr__(self):
         return f"ComplexPoly({list(self.coeffs)!r})"
@@ -549,26 +544,6 @@ class FourierSplit:
         return max(equality_residual(again.analytic, self.analytic), norm2(again.antianalytic))
 
 
-def _pole_factors(den: ComplexPoly):
-    """``(D_in, D_out)`` with ``den = D_in * D_out`` up to the lead, from one
-    root solve: ``D_in`` carries the origin power and the open-disk roots,
-    ``D_out`` the roots outside the closed disk; both are monic.  Raises
-    :class:`PoleSplitError` when the two groups meet."""
-    v = _valuation(den)
-    droots = _shift_down(den, v).roots()
-    mods = np.abs(droots)
-    inside = droots[mods < 1.0]
-    outside = droots[mods >= 1.0]
-    if inside.size and outside.size:
-        gap = float(np.min(np.abs(inside[:, None] - outside[None, :])))
-        if gap < CLUSTER_TOL:
-            raise PoleSplitError(
-                "inside and outside poles coincide within the clustering tolerance; "
-                "adjust the input so the pole groups are separated"
-            )
-    return ComplexPoly.from_roots(inside) * ComplexPoly.monomial(v), ComplexPoly.from_roots(outside)
-
-
 def _split_solve(d_ins, rhs, outs):
     """Solve ``W_j * D_j + A_j * Q_j = R_j`` with ``deg A_j < deg D_j`` for
     every ``j`` at once, given the ascending coefficients of each ``D_j``
@@ -611,7 +586,7 @@ def _split_solve(d_ins, rhs, outs):
 def riesz_project(f: RationalFn) -> FourierSplit:
     """Split ``f`` into nonnegative and strictly negative Fourier content.
 
-    The denominator factors as ``D_in * D_out`` (:func:`_pole_factors`).  The
+    The denominator factors as ``D_in * D_out`` (:func:`_factors`).  The
     unique representation ``f = W/D_out + A/D_in`` (with ``A`` strictly
     proper) comes from the square coefficient system ``W*D_in + A*D_out =
     num`` of :func:`_split_solve`, the solver every compression shares;
@@ -620,14 +595,12 @@ def riesz_project(f: RationalFn) -> FourierSplit:
     """
     if f.is_zero:
         return FourierSplit(RationalFn.zero(), RationalFn.zero())
-    d_in, d_out = _pole_factors(f.den)
-    if d_in.degree == 0:
+    num, d_in, d_out = _factors(f)
+    mi = len(d_in) - 1
+    if not mi:
         return FourierSplit(f, RationalFn.zero())
-    if d_out.degree == 0:
-        quo, rem = f.num.divmod(d_in)  # division by an all-inside monic: stable
-        return FourierSplit(RationalFn(quo), RationalFn(rem, d_in))
-    sol = _split_solve([d_in.coeffs], [f.num.coeffs], [d_out.coeffs])[:, 0]
-    return FourierSplit(RationalFn(sol[d_in.degree :], d_out), RationalFn(sol[: d_in.degree], d_in))
+    sol = _split_solve([d_in], [num], [d_out])[:, 0]
+    return FourierSplit(RationalFn(sol[mi:], d_out), RationalFn(sol[:mi], d_in))
 
 
 def antianalytic_residual(f: RationalFn) -> float:
@@ -648,16 +621,27 @@ _ZERO = np.zeros(1, dtype=complex)
 
 def _factors(f: RationalFn):
     """``(num, D_in, D_out)`` coefficient arrays with ``f = num / (D_in *
-    D_out)``, from one :func:`_pole_factors` split.  When every pole lies
-    on one side the factor there is ``f``'s own denominator, not its
-    reconstruction from roots."""
-    d_in, d_out = _pole_factors(f.den)
+    D_out)``, from one root solve: ``D_in`` carries the origin power and the
+    open-disk poles, ``D_out`` the poles outside the closed disk; both are
+    monic.  When every pole lies on one side the factor there is ``f``'s own
+    denominator, not its reconstruction from roots.  Raises
+    :class:`PoleSplitError` when the two groups meet."""
     num = _ZERO if f.is_zero else f.num.coeffs
-    if d_in.degree == 0:
+    v = _valuation(f.den)
+    droots = _shift_down(f.den, v).roots()
+    mods = np.abs(droots)
+    inside, outside = droots[mods < 1.0], droots[mods >= 1.0]
+    if not (inside.size or v):
         return num, _ONE, f.den.coeffs
-    if d_out.degree == 0:
+    if not outside.size:
         return num, f.den.coeffs, _ONE
-    return num, d_in.coeffs, d_out.coeffs
+    if inside.size and np.min(np.abs(inside[:, None] - outside)) < CLUSTER_TOL:
+        raise PoleSplitError(
+            "inside and outside poles coincide within the clustering tolerance; "
+            "adjust the input so the pole groups are separated"
+        )
+    d_in = ComplexPoly.from_roots(inside) * ComplexPoly.monomial(v)
+    return num, d_in.coeffs, ComplexPoly.from_roots(outside).coeffs
 
 
 def _reflect(f):

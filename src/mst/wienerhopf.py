@@ -6,7 +6,10 @@ and the monomial on the diagonal admits a canonical factorization exactly
 when the compressed operator is invertible.  The factorization is found by
 solving a linear system for the polynomial entries of the inverse analytic
 factor: each entry of the product must lose its positive frequencies, and
-the anti-analytic factor is pinned to the identity at infinity.
+the anti-analytic factor is pinned to the identity at infinity.  The inverse
+compression is then a closed-form matrix
+(:meth:`MatrixFactorization.inverse`); the system and the inverse are both
+built from Toeplitz sections (:func:`_section`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .modelspace import ModelSpace
 from .operators import OperatorMatrix, tto_matrix
-from .rational import ComplexPoly, RationalFn, _valuation, riesz_project, unit_circle_samples
+from .rational import ComplexPoly, RationalFn, _valuation, unit_circle_samples
 
 __all__ = [
     "MatrixFactorization",
@@ -86,17 +89,26 @@ class MatrixFactorization:
                 worst = max(worst, float(np.max(np.abs(val - g[i][j](zs)))))
         return worst
 
+    def inverse(self) -> np.ndarray:
+        """The ``n`` x ``n`` matrix of the inverse compression on the
+        monomial basis, in closed form from ``g_plus_inv``.
+
+        An analytic ``p`` maps ``z**n H^2`` into itself, so ``P_K p P_+ = P_K
+        p P_K`` and the inverse ``P_K (p11 P_+ m12 + p12 P_+ m22)``, with
+        ``m12 = -zbar**n p12 / det`` and ``m22 = zbar**n p11 / det``, is
+        ``(L(p12) U(p11) - L(p11) U(p12)) / det`` for the sections ``L(p)``
+        of multiplication by ``p`` and ``U(q)`` by ``zbar**n q``
+        (Gohberg-Semencul form).
+        """
+        n, ((p11, p12), _) = self.n, self.g_plus_inv
+        l11, l12 = (_section(p.coeffs, 0, n, n) for p in (p11, p12))
+        u11, u12 = (_section(p.coeffs, -n, n, n) for p in (p11, p12))
+        return (l12 @ u11 - l11 @ u12) / self.det
+
     def inverse_column_defects(self, direct: OperatorMatrix) -> np.ndarray:
-        """Per column ``j``, the largest deviation of the coordinates of the
-        formula inverse applied to ``z**j`` from column ``j`` of ``direct``,
-        the dense inverse from :func:`invert_direct`.  The formula projects
-        in ``direct.domain``."""
-        space = direct.domain
-        defects = np.zeros(self.n)
-        for j in range(self.n):
-            coords = space.coordinates(_apply_inverse(space, self, RationalFn.monomial(j)))
-            defects[j] = np.max(np.abs(coords - direct.entries[:, j]))
-        return defects
+        """Per column, the largest deviation of :meth:`inverse` from
+        ``direct``, the dense inverse from :func:`invert_direct`."""
+        return np.max(np.abs(self.inverse() - direct.entries), axis=0)
 
 
 def _as_symbol(phi) -> RationalFn:
@@ -116,56 +128,51 @@ def _laurent_data(phi: RationalFn):
     return coeffs, -m
 
 
+def _section(coeffs, lo: int, rows: int, cols: int) -> np.ndarray:
+    """The ``rows`` x ``cols`` section of multiplication by ``sum_k
+    coeffs[k] z**(k + lo)`` on ascending coefficients: entry ``(i, j)`` is
+    the coefficient of ``z**(i - j)``."""
+    k = np.arange(rows)[:, None] - np.arange(cols) - lo
+    inside = (k >= 0) & (k < len(coeffs))
+    out = np.zeros((rows, cols), dtype=complex)
+    out[inside] = np.asarray(coeffs, dtype=complex)[k[inside]]
+    return out
+
+
+def _system(n: int, coeffs: np.ndarray, lo: int, bound: int):
+    """The frequency-constraint system at one degree bound, in the unknowns
+    ``p11, p12, p21, p22`` of degree at most ``bound``.
+
+    The pins put ``zbar**n p11 = 1`` and ``zbar**n p12 = 0`` at the
+    nonnegative frequencies; the lower row asks ``phi p11 + z**n p21`` and
+    ``phi p12 + z**n p22 - 1`` to lose them.  Rows that constrain nothing
+    are dropped.
+    """
+    width = bound + 1
+    t_max = max(lo + len(coeffs) - 1, n) + bound
+    pin, o = np.eye(width)[n:], np.zeros((bound - n + 1, width))
+    conv, shift = _section(coeffs, lo, t_max + 1, width), _section([1.0], n, t_max + 1, width)
+    z = np.zeros_like(conv)
+    matrix = np.block([[pin, o, o, o], [o, pin, o, o], [conv, z, shift, z], [z, conv, z, shift]])
+    vector = np.zeros(len(matrix), dtype=complex)
+    vector[[0, len(matrix) - t_max - 1]] = 1.0
+    keep = matrix.any(axis=1) | (vector != 0)
+    return matrix[keep], vector[keep]
+
+
 def _try_degree(n: int, coeffs: np.ndarray, lo: int, bound: int):
-    """Assemble and solve the frequency-constraint system at one degree bound.
+    """Solve the :func:`_system` at one degree bound.
 
     Returns the four polynomial entries and the solve residual, or ``None``
     when the least-squares residual exceeds the gate.
     """
-    width = bound + 1
-    hi = lo + len(coeffs) - 1
-
-    def p_index(which: int, power: int) -> int:
-        return which * width + power
-
-    rows = []
-    rhs = []
-
-    def add_row(entries, value):
-        row = np.zeros(4 * width, dtype=complex)
-        for idx, c in entries:
-            row[idx] += c
-        rows.append(row)
-        rhs.append(value)
-
-    # diagonal conjugate-monomial entries: coefficient at power t is p[t+n]
-    for which, target in ((0, 1.0), (1, 0.0)):
-        for t in range(0, bound - n + 1):
-            add_row([(p_index(which, t + n), 1.0)], target if t == 0 else 0.0)
-    # lower row: phi * p1x + z^n * p2x, nonpositive content with pinned value
-    for which_top, which_bottom, target in ((0, 2, 0.0), (1, 3, 1.0)):
-        t_max = max(hi, n) + bound
-        for t in range(0, t_max + 1):
-            entries = []
-            for j, c in enumerate(coeffs):
-                power = t - (lo + j)
-                if 0 <= power <= bound and c != 0:
-                    entries.append((p_index(which_top, power), c))
-            if 0 <= t - n <= bound:
-                entries.append((p_index(which_bottom, t - n), 1.0))
-            if not entries and (t > 0 or target == 0.0):
-                continue
-            add_row(entries, target if t == 0 else 0.0)
-
-    matrix = np.vstack(rows)
-    vector = np.asarray(rhs, dtype=complex)
+    matrix, vector = _system(n, coeffs, lo, bound)
     solution, *_ = np.linalg.lstsq(matrix, vector, rcond=None)
     residual = float(np.max(np.abs(matrix @ solution - vector)))
     scale = 1.0 + float(np.max(np.abs(coeffs))) if coeffs.size else 1.0
     if residual > SOLVE_GATE * scale:
         return None
-    parts = [ComplexPoly(solution[k * width : (k + 1) * width]) for k in range(4)]
-    return parts, residual
+    return [ComplexPoly(part) for part in np.split(solution, 4)], residual
 
 
 def wiener_hopf_factorize(n: int, phi) -> MatrixFactorization:
@@ -238,7 +245,8 @@ def _assemble(n, phi, parts, det0, residual, bound) -> MatrixFactorization:
 def tto_inverse_via_wh(
     n: int, phi, f: RationalFn, factorization: MatrixFactorization = None
 ) -> RationalFn:
-    """Apply the factorization-based inverse formula to one element.
+    """The closed-form inverse (:meth:`MatrixFactorization.inverse`) applied
+    to the coefficients of one element.
 
     ``f`` must lie in the monomial model space (a polynomial of degree
     below ``n``).  The result ``g`` satisfies ``compression(phi) g = f`` up
@@ -251,19 +259,9 @@ def tto_inverse_via_wh(
         raise ValueError("the factorization belongs to a different degree or symbol")
     if f.den.degree != 0 or (not f.is_zero and f.num.degree >= n):
         raise ValueError("right-hand side must be a polynomial of degree below n")
-    return _apply_inverse(ModelSpace(BlaschkeProduct((0.0,) * n)), factorization, f)
-
-
-def _apply_inverse(space: ModelSpace, factorization: MatrixFactorization, f: RationalFn):
-    """The inverse formula on ``f``, projected in ``space``, the monomial
-    model space of degree ``factorization.n``."""
-    g11_plus = RationalFn(factorization.g_plus_inv[0][0])
-    g12_plus = RationalFn(factorization.g_plus_inv[0][1])
-    g12_minus = factorization.g_minus_inv[0][1]
-    g22_minus = factorization.g_minus_inv[1][1]
-    term1 = g11_plus * riesz_project(g12_minus * f).analytic
-    term2 = g12_plus * riesz_project(g22_minus * f).analytic
-    return space.project(term1 + term2)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[: len(f.num.coeffs)] = f.num.coeffs / f.den.coeffs[0]
+    return RationalFn(ComplexPoly(factorization.inverse() @ rhs))
 
 
 def invert_direct(n: int, phi) -> OperatorMatrix:

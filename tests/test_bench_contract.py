@@ -125,3 +125,20 @@ def test_pairings_build_nothing_exact():
     assert counts["crofoot"]["rational.pair"] == 1
     # perfbench/selftest.py checks the tracer through this module attribute
     assert mst.modelspace._pair_with_conjugate is mst.rational._pair_with_conjugate
+
+
+def test_wh_inverse_builds_nothing_exact():
+    # with the factorization at hand, the inverse is one closed-form matrix
+    # times the right-hand side's coefficients: no Riesz split, no model
+    # space, no coordinate pass, and one RationalFn for the result
+    spans = load_spans()
+    phi = mst.RationalFn(mst.ComplexPoly([0.2, 0.1j, 1.0, -0.3]), mst.ComplexPoly.monomial(2))
+    rhs = mst.RationalFn(mst.ComplexPoly([1.0, 0.5j, -0.25]))
+    fact = mst.wiener_hopf_factorize(3, phi)
+    recorder = spans.Recorder()
+    with spans.Tracer(mst, recorder):
+        mst.tto_inverse_via_wh(3, phi, rhs, fact)
+    assert recorder.calls["wienerhopf.tto_inverse_via_wh"] == 1
+    for name in ("rational.riesz_project", "modelspace.ModelSpace", "modelspace.coordinates"):
+        assert recorder.calls.get(name, 0) == 0, name
+    assert recorder.calls.get("rational.RationalFn", 0) <= 1

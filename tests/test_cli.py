@@ -236,6 +236,26 @@ class TestCommands:
         code = run_command(["tto", "--space", "z^2", "--symbol", "1/(1-z)"])
         assert code == 1
 
+    # each input once raised past run_command (ZeroDivisionError,
+    # ArithmeticError) or, for non-finite coefficients, was trimmed to the
+    # zero symbol and exited 0 with a zero matrix
+    REJECTED = [
+        ["tto", "--space", "z", "--symbol", "1/0"],
+        ["tto", "--space", "z", "--symbol", '{"num": [[1, 0]], "den": []}'],
+        ["crofoot", "--space", "blaschke(0.9999999, 0.9999998)", "--w", "0.99999999"],
+        ["tto", "--space", "z", "--symbol", "1e400"],
+        ["tto", "--space", "z", "--symbol", '{"num": [[NaN, 0]], "den": [[1, 0]]}'],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", REJECTED, ids=["zero-den", "json-empty-den", "degenerate-shift", "overflow", "nan"]
+    )
+    def test_rejected_input_exits_one(self, capsys, argv):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert "input error" in captured.err
+        assert captured.out == ""
+
     def test_env_tolerance(self, capsys, monkeypatch):
         argv = [
             "equiv",

@@ -17,6 +17,7 @@ from mst.wienerhopf import (
     DegreeCapExceeded,
     NoCanonicalFactorization,
     SingularOperator,
+    _system,
     invert_direct,
     tto_inverse_via_wh,
     wiener_hopf_factorize,
@@ -77,7 +78,94 @@ class TestFactorize:
             assert fact.recombination_defect() < 1e-9
 
 
+def row_by_row_system(n, coeffs, lo, bound):
+    """The factorization system assembled one constraint row at a time: the
+    pins of ``zbar**n p11`` and ``zbar**n p12``, then the nonnegative
+    frequencies of ``phi p11 + z**n p21`` and ``phi p12 + z**n p22``,
+    skipping rows with no entry and a zero right-hand side."""
+    width = bound + 1
+    rows, rhs = [], []
+
+    def add_row(entries, value):
+        row = np.zeros(4 * width, dtype=complex)
+        for idx, c in entries:
+            row[idx] += c
+        rows.append(row)
+        rhs.append(value)
+
+    for which, target in ((0, 1.0), (1, 0.0)):
+        for t in range(0, bound - n + 1):
+            add_row([(which * width + t + n, 1.0)], target if t == 0 else 0.0)
+    t_max = max(lo + len(coeffs) - 1, n) + bound
+    for top, bottom, target in ((0, 2, 0.0), (1, 3, 1.0)):
+        for t in range(0, t_max + 1):
+            entries = [(top * width + t - lo - j, c) for j, c in enumerate(coeffs)
+                       if 0 <= t - lo - j <= bound and c != 0]
+            if 0 <= t - n <= bound:
+                entries.append((bottom * width + t - n, 1.0))
+            if not entries and (t > 0 or target == 0.0):
+                continue
+            add_row(entries, target if t == 0 else 0.0)
+    return np.vstack(rows), np.asarray(rhs, dtype=complex)
+
+
+class TestSystem:
+    def test_matches_row_by_row_assembly(self):
+        # symbol powers lo .. hi inside -3 .. 3, each with a zero interior
+        # coefficient where there is one; the all-zero symbol too
+        rng = np.random.default_rng(24)
+        cases = 0
+        for lo in range(-3, 4):
+            for hi in range(lo - 1, 4):
+                coeffs = rng.standard_normal(hi - lo + 1) + 1j * rng.standard_normal(hi - lo + 1)
+                if coeffs.size > 2:
+                    coeffs[coeffs.size // 2] = 0.0
+                for n in range(1, 7):
+                    for bound in (n, n + 1, n + 2):
+                        matrix, vector = _system(n, coeffs, lo, bound)
+                        ref_matrix, ref_vector = row_by_row_system(n, coeffs, lo, bound)
+                        assert np.array_equal(matrix, ref_matrix), (lo, hi, n, bound)
+                        assert np.array_equal(vector, ref_vector), (lo, hi, n, bound)
+                        cases += 1
+        assert cases == 35 * 18
+
+
+def exact_section_inverse(n, phi):
+    """The inverse of the Toeplitz section ``(phi^(i - j))`` of a Laurent
+    polynomial, in 50-digit ``mpmath``, rounded to complex."""
+    mpmath = pytest.importorskip("mpmath")
+    num, m = phi.num.coeffs, phi.den.degree
+    with mpmath.workdps(50):
+        t = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if 0 <= i - j + m < len(num):
+                    t[i, j] = mpmath.mpc(num[i - j + m])
+        inv = t ** -1
+        return np.array([[complex(inv[i, j]) for j in range(n)] for i in range(n)])
+
+
 class TestInverseFormula:
+    def test_inverse_matches_exact_section_inverse(self):
+        # powers up to n + 2 need degree bounds above n
+        rng = np.random.default_rng(6)
+        checked = above_n = 0
+        while checked < 30:
+            n = int(rng.integers(2, 7))
+            phi = random_laurent(rng, low=-2, high=n + 2 if checked % 3 == 0 else 2)
+            try:
+                fact = wiener_hopf_factorize(n, phi)
+            except (NoCanonicalFactorization, DegreeCapExceeded):
+                continue
+            exact = exact_section_inverse(n, phi)
+            if np.linalg.cond(exact) >= 1e2:
+                continue
+            checked += 1
+            above_n += fact.degree_bound > n
+            deviation = np.max(np.abs(fact.inverse() - exact)) / np.max(np.abs(exact))
+            assert deviation < 1e-12, (n, fact.degree_bound, deviation)
+        assert above_n > 0
+
     def test_constant_symbol(self):
         c = 3.0 + 1.0j
         out = tto_inverse_via_wh(1, RationalFn(ComplexPoly([c])), ONE)
@@ -135,6 +223,13 @@ class TestInverseFormula:
         assert np.max(fact.inverse_column_defects(direct)) < 1e-8
         off = OperatorMatrix(direct.entries + 1e-3, direct.domain, direct.codomain)
         assert np.min(fact.inverse_column_defects(off)) > 5e-4
+
+    def test_inverse_column_defects_read_a_perturbed_factor(self):
+        phi = ONE + (5.0 / 6.0) * Z
+        fact = wiener_hopf_factorize(2, phi)
+        direct = invert_direct(2, phi)
+        fact.g_plus_inv[0][1] = fact.g_plus_inv[0][1] + ComplexPoly([0.0, 1e-3])
+        assert np.max(fact.inverse_column_defects(direct)) > 5e-4
 
 
 class TestDirectInverse:

@@ -42,7 +42,12 @@ a shift ``w`` drawn in the disk of the zero radius, and its defect matrix is
 compared with ``G - I`` for the quadrature Gram matrix ``G`` of ``J e_k``,
 on nodes counted from the zeros and the roots of ``J``'s denominator.  Each
 line is one cell: the median and largest relative deviation and the median
-call time of each function (``-`` where a function is not run).
+call time of each function (``-`` where a function is not run).  One ``wh``
+line per degree then gives, over 10 symbols ``1 + sum c_k z**k`` with ``0 <
+|k| <= 2`` and ``sum |c_k| <= 0.8`` (the ``cli_readme`` family), the
+largest relative deviation of ``MatrixFactorization.inverse`` from a
+50-digit ``mpmath`` inverse of the exact Toeplitz section and the median
+time of ``wiener_hopf_factorize`` plus ``inverse``.
 """
 
 from __future__ import annotations
@@ -232,6 +237,33 @@ def sweep(mst, workloads):
                     crofoot_rows.append(crofoot_cell(mst, oracle, k_dom, dom, constant, w))
             print(f"{n:2d} {radius:.2f} | {cell_text(tto_rows)} | {cell_text(conj_rows)} "
                   f"| {cell_text(crofoot_rows or None)}", flush=True)
+    print("wh n | MatrixFactorization.inverse: max deviation, median s of factorize + inverse")
+    for n in SWEEP_DEGREES:
+        print(wh_line(mst, oracle, n), flush=True)
+
+
+def wh_line(mst, oracle, n):
+    """The ``wh`` sweep line of degree ``n``."""
+    import mpmath
+
+    devs, times = [], []
+    for draw in range(SWEEP_DRAWS):
+        rng = np.random.default_rng([n, draw])
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        c *= 0.8 * rng.uniform() / np.sum(np.abs(c))
+        laurent = np.array([c[0], c[1], 1.0, c[2], c[3]])  # z^-2 .. z^2
+        phi = mst.RationalFn(mst.ComplexPoly(laurent), mst.ComplexPoly.monomial(2))
+        inverse, seconds = timed(lambda: mst.wiener_hopf_factorize(n, phi).inverse())
+        with mpmath.workdps(50):
+            section = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(max(0, i - 2), min(n, i + 3)):
+                    section[i, j] = mpmath.mpc(laurent[2 + i - j])
+            exact = section**-1
+            reference = np.array([[complex(exact[i, j]) for j in range(n)] for i in range(n)])
+        devs.append(oracle.rel_dev(inverse, reference))
+        times.append(seconds)
+    return f"wh {n:2d} | {max(devs):.2e} {np.median(times):.2e}"
 
 
 def main(argv=None) -> int:
