@@ -33,6 +33,7 @@ from .rational import (
     _pair_with_conjugate,
     _reflect,
     _split_solve,
+    _trim,
     circle_conjugate,
     inner_product,
     norm2,
@@ -85,17 +86,18 @@ class ModelSpace:
     def __init__(self, inner: BlaschkeProduct):
         self.inner = inner
         n = self.dim = inner.degree
-        factors = [ComplexPoly([1.0, -np.conj(a)]) for a in inner.zeros]
+        # coefficient arrays, trimmed wherever a ComplexPoly product would be
+        outers = [_trim([1.0, -np.conj(a)]) for a in inner.zeros]  # 1 - conj(a_k) z
         parts = []
-        tail_num = ComplexPoly([1.0])  # prod_{j<k} (z - a_j)
-        tail_den = ComplexPoly([1.0])  # prod_{j<=k} (1 - conj(a_j) z)
-        for k, a in enumerate(inner.zeros):
+        tail_num = _ONE  # prod_{j<k} (z - a_j)
+        tail_den = _ONE  # prod_{j<=k} (1 - conj(a_j) z)
+        for a, outer in zip(inner.zeros, outers):
             if a and 1.0 / abs(a) - 1.0 < POLE_TOL:  # the pole 1 / conj(a_k) of e_k
                 raise CirclePoleError(f"pole 1/conj({a}) lies within {POLE_TOL} of the unit circle")
             weight = float(np.sqrt(1.0 - abs(a) ** 2))
-            tail_den = tail_den * factors[k]
-            parts.append((tail_num.scaled(weight).coeffs, tail_den.coeffs))
-            tail_num = tail_num * ComplexPoly([-a, 1.0])
+            tail_den = _trim(np.convolve(tail_den, outer))
+            parts.append((_trim(tail_num * weight), tail_den))
+            tail_num = _trim(np.convolve(tail_num, np.array([-a, 1.0], dtype=complex)))
         # the unreduced numerator and denominator coefficients of each e_k,
         # which the compression engine multiplies into a symbol's
         self._parts = tuple(parts)
@@ -103,13 +105,13 @@ class ModelSpace:
         # full denominator; cofactors lift each basis numerator to it.  This
         # keeps linear combinations in a single reduced fraction instead of
         # stacking near-identical factors that no longer cancel numerically.
-        self._den_full = tail_den
+        self._den_full = ComplexPoly(tail_den)
         self.L = np.zeros((n, n), dtype=complex)
-        cofactor = ComplexPoly([1.0])  # prod_{j>k} (1 - conj(a_j) z)
+        cofactor = _ONE  # prod_{j>k} (1 - conj(a_j) z)
         for k in range(n - 1, -1, -1):
-            lifted = (ComplexPoly(parts[k][0]) * cofactor).coeffs
+            lifted = _trim(np.convolve(parts[k][0], cofactor))
             self.L[: lifted.size, k] = lifted
-            cofactor = cofactor * factors[k]
+            cofactor = _trim(np.convolve(cofactor, outers[k]))
         self.L.setflags(write=False)
 
     @cached_property

@@ -22,7 +22,12 @@ Conventions
   ``POLE_TOL`` around the circle.
 * The polynomial kernels run the floating-point operations of the numpy
   routines they replace, in the same order, without the per-call wrapper
-  work, so every result is bit-for-bit numpy's.
+  work, so every result is bit-for-bit numpy's.  The coefficient trim and
+  the valuation make the same comparisons against the same floor on the
+  Python floats of one ``np.abs``; a degree-one root is the entry of its
+  1 x 1 companion matrix, which is that matrix's eigenvalue bit for bit;
+  and ``RationalFn`` skips the product by ``z**0``, adding ``0.0`` for the
+  only change that product makes: the sign of zero parts.
 * Every exact pairing goes through one kernel, ``_pair_with_conjugate``,
   on coefficient arrays: each operand's denominator is split at the circle
   once (one root solve), the conjugate's factors are the reflections
@@ -73,6 +78,8 @@ POLE_TOL = 1e-8
 # relative floor below which high-degree coefficients are dropped
 _TRIM = 1e-12
 
+_COMPLEX = np.dtype(complex)
+
 
 class CirclePoleError(ValueError):
     """A denominator root sits inside the guard band around ``|z| = 1``."""
@@ -82,22 +89,26 @@ class PoleSplitError(ValueError):
     """Inside and outside poles coincide within the clustering tolerance."""
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
+def _trim(coeffs) -> np.ndarray:
     """Strip trailing coefficients that vanish relative to the array scale;
-    a non-finite coefficient raises ``ValueError``."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size == 0:
-        return c
-    mags = np.abs(c)
-    scale = float(mags.max())
-    if not math.isfinite(scale):
+    a non-finite coefficient raises ``ValueError``.  Always a view, never the
+    caller's array: ``ComplexPoly`` freezes what this returns."""
+    c = coeffs
+    if (type(c) is not np.ndarray or c.dtype is not _COMPLEX or c.ndim != 1
+            or not c.flags.c_contiguous):
+        c = np.asarray(c, dtype=complex).ravel()
+    mags = np.abs(c).tolist()
+    end = len(mags)
+    if not end:
+        return c[:0]
+    scale = max(mags)
+    # max() passes over a NaN that is not first; the sum never does
+    if not math.isfinite(scale) or math.isnan(sum(mags)):
         raise ValueError("coefficients must be finite")
-    if scale == 0.0:
-        return c[:0]
-    keep = (mags > _TRIM * max(1.0, scale)).nonzero()[0]
-    if keep.size == 0:
-        return c[:0]
-    return c[: keep[-1] + 1]
+    floor = _TRIM * max(1.0, scale)
+    while end and mags[end - 1] <= floor:
+        end -= 1
+    return c[:end]
 
 
 def _horner(coeffs: list, x):
@@ -175,12 +186,18 @@ class ComplexPoly:
         return npp.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
     def roots(self) -> np.ndarray:
-        """``np.roots``: eigenvalues of the same companion matrix."""
+        """``np.roots``: eigenvalues of the same companion matrix.  At degree
+        one that is the matrix entry, which LAPACK returns unchanged unless
+        it rescales the matrix first, for an entry of modulus outside
+        ``[2**-459, 2**459]``; the roots ``RationalFn`` solves for stay
+        within about ``[1e-12, 1e12]``."""
         if self.degree < 1:
             return np.zeros(0, dtype=complex)
         low = int(np.flatnonzero(self.coeffs)[0])  # exact roots at the origin
         p = self.coeffs[low:][::-1]
-        if len(p) > 1:
+        if len(p) == 2:  # the 1 x 1 companion matrix is its own eigenvalue
+            found = -p[1:] / p[0]
+        elif len(p) > 2:
             companion = np.eye(len(p) - 1, k=-1, dtype=complex)
             companion[0, :] = -p[1:] / p[0]
             found = np.linalg.eigvals(companion)
@@ -189,11 +206,6 @@ class ComplexPoly:
         if low:
             found = np.concatenate((found, np.zeros(low, found.dtype)))
         return found
-
-    def scaled(self, factor: complex) -> "ComplexPoly":
-        if self.is_zero:
-            return self
-        return ComplexPoly(self.coeffs * factor)
 
     def _coerce(self, other):
         if isinstance(other, ComplexPoly):
@@ -249,12 +261,21 @@ class ComplexPoly:
 def _valuation(p: ComplexPoly) -> int:
     """Order of the zero at the origin, counting relatively-tiny leading
     coefficients as zero (exact for monomial products)."""
-    c = p.coeffs
-    if c.size == 0:
-        return 0
-    mags = np.abs(c)
-    significant = (mags > _TRIM * max(1.0, float(mags.max()))).nonzero()[0]
-    return int(significant[0]) if significant.size else 0
+    mags = np.abs(p.coeffs).tolist()
+    floor = _TRIM * max(1.0, max(mags, default=0.0))
+    for k, m in enumerate(mags):
+        if m > floor:
+            return k
+    return 0
+
+
+def _times_monomial(p: ComplexPoly, v: int) -> np.ndarray:
+    """Coefficients of ``p * z**v``.  The product by ``z**0`` changes only
+    the sign of zero: ``np.convolve`` sums from ``+0.0`` and so turns every
+    ``-0.0`` part into ``+0.0``, which adding ``0.0`` does alone."""
+    if v:
+        return (p * ComplexPoly.monomial(v)).coeffs
+    return p.coeffs + 0.0
 
 
 def _shift_down(p: ComplexPoly, v: int) -> ComplexPoly:
@@ -382,9 +403,9 @@ class RationalFn:
                 raise CirclePoleError(
                     f"denominator root {r} lies within {POLE_TOL} of the unit circle"
                 )
-        lead = d_rest.lead
-        self.num = (n_rest * ComplexPoly.monomial(vn)).scaled(1.0 / lead)
-        self.den = (d_rest * ComplexPoly.monomial(vd)).scaled(1.0 / lead)
+        scale = 1.0 / d_rest.lead
+        self.num = ComplexPoly(_times_monomial(n_rest, vn) * scale)
+        self.den = ComplexPoly(_times_monomial(d_rest, vd) * scale)
 
     # -- constructors ------------------------------------------------------
 

@@ -142,3 +142,16 @@ def test_wh_inverse_builds_nothing_exact():
     for name in ("rational.riesz_project", "modelspace.ModelSpace", "modelspace.coordinates"):
         assert recorder.calls.get(name, 0) == 0, name
     assert recorder.calls.get("rational.RationalFn", 0) <= 1
+
+
+def test_model_suite_work_counts():
+    # the scalar coefficient kernels make each call cheaper, not the calls
+    # fewer: one model suite builds as many RationalFn and ModelSpace objects
+    # and solves for as many roots as it did on the numpy kernels
+    spans = load_spans()
+    recorder = spans.Recorder()
+    with spans.Tracer(mst, recorder):
+        assert mst.verify.run_suite("model").passed
+    assert recorder.calls["rational.RationalFn"] == 1659
+    assert recorder.calls["rational.roots"] == 2611
+    assert recorder.calls["modelspace.ModelSpace"] == 20

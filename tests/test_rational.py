@@ -1,15 +1,25 @@
 """Rational-function core: arithmetic, involution, splitting, pairing."""
 
+import contextlib
+import math
+import types
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
 import mst.rational
+from mst.blaschke import BlaschkeProduct
+from mst.modelspace import ModelSpace
 from mst.rational import (
     MAX_CIRCLE_NODES,
+    _cancel_common_factors,
     _horner,
     _poly_from_roots,
+    _shift_down,
     _split_solve,
+    _trim,
+    _valuation,
     fourier_block,
     CirclePoleError,
     ComplexPoly,
@@ -332,15 +342,129 @@ class TestFourierCoefficients:
 
 
 def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: the sign of a zero counts."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
-        a.view(float), b.view(float)
-    )
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_coeffs(rng, degree):
     c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     return c * 10.0 ** rng.uniform(-4, 4, degree + 1)
+
+
+# The numpy implementations the scalar kernels replaced, kept as the
+# references the parity tests hold them to bit for bit.
+
+
+def numpy_trim(coeffs):
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    if c.size == 0:
+        return c
+    mags = np.abs(c)
+    scale = float(mags.max())
+    if not math.isfinite(scale):
+        raise ValueError("coefficients must be finite")
+    if scale == 0.0:
+        return c[:0]
+    keep = (mags > 1e-12 * max(1.0, scale)).nonzero()[0]
+    if keep.size == 0:
+        return c[:0]
+    return c[: keep[-1] + 1]
+
+
+def numpy_valuation(p):
+    c = p.coeffs
+    if c.size == 0:
+        return 0
+    mags = np.abs(c)
+    significant = (mags > 1e-12 * max(1.0, float(mags.max()))).nonzero()[0]
+    return int(significant[0]) if significant.size else 0
+
+
+def numpy_roots(self):
+    if self.degree < 1:
+        return np.zeros(0, dtype=complex)
+    low = int(np.flatnonzero(self.coeffs)[0])
+    p = self.coeffs[low:][::-1]
+    if len(p) > 1:
+        companion = np.eye(len(p) - 1, k=-1, dtype=complex)
+        companion[0, :] = -p[1:] / p[0]
+        found = np.linalg.eigvals(companion)
+    else:
+        found = np.array([])
+    if low:
+        found = np.concatenate((found, np.zeros(low, found.dtype)))
+    return found
+
+
+@contextlib.contextmanager
+def numpy_kernels():
+    """Runs ``ComplexPoly`` on the numpy trim and roots and ``RationalFn`` on
+    the numpy valuation inside the block."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mst.rational, "_trim", numpy_trim)
+        m.setattr(mst.rational, "_valuation", numpy_valuation)
+        m.setattr(ComplexPoly, "roots", numpy_roots)
+        yield
+
+
+def numpy_rational(num, den):
+    """``(num, den)`` coefficients of ``RationalFn(num, den)`` as built from
+    ``ComplexPoly`` products, monomial factors included."""
+    n, d = ComplexPoly(num), ComplexPoly(den)
+    if n.is_zero:
+        return ComplexPoly().coeffs, ComplexPoly([1.0]).coeffs
+    vn, vd = mst.rational._valuation(n), mst.rational._valuation(d)
+    common = min(vn, vd)
+    vn, vd = vn - common, vd - common
+    n_rest = _shift_down(n, common + vn)
+    d_rest = _shift_down(d, common + vd)
+    if n_rest.degree > 0 and d_rest.degree > 0:
+        n_rest, d_rest, _ = _cancel_common_factors(n_rest, d_rest)
+    scale = 1.0 / d_rest.lead
+    return (ComplexPoly((n_rest * ComplexPoly.monomial(vn)).coeffs * scale).coeffs,
+            ComplexPoly((d_rest * ComplexPoly.monomial(vd)).coeffs * scale).coeffs)
+
+
+def numpy_space_build(inner):
+    """``(_parts, _den_full, L)`` of ``ModelSpace(inner)`` built from
+    ``ComplexPoly`` products."""
+    factors = [ComplexPoly([1.0, -np.conj(a)]) for a in inner.zeros]
+    parts = []
+    tail_num = ComplexPoly([1.0])
+    tail_den = ComplexPoly([1.0])
+    for k, a in enumerate(inner.zeros):
+        weight = float(np.sqrt(1.0 - abs(a) ** 2))
+        tail_den = tail_den * factors[k]
+        parts.append((ComplexPoly(tail_num.coeffs * weight).coeffs, tail_den.coeffs))
+        tail_num = tail_num * ComplexPoly([-a, 1.0])
+    n = inner.degree
+    lifts = np.zeros((n, n), dtype=complex)
+    cofactor = ComplexPoly([1.0])
+    for k in range(n - 1, -1, -1):
+        lifted = (ComplexPoly(parts[k][0]) * cofactor).coeffs
+        lifts[: lifted.size, k] = lifted
+        cofactor = cofactor * factors[k]
+    return parts, tail_den.coeffs, lifts
+
+
+def trim_case(rng):
+    """A coefficient array of length 0-40 at a scale from 1e-20 to 1e20,
+    with exact zeros, leading zeros and low and trailing coefficients at
+    1e-13 to 1e-11 of the trimming floor's scale."""
+    n = int(rng.integers(0, 41))
+    c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-20, 20)
+    if n == 0:
+        return c
+    c[rng.uniform(size=n) < 0.15] = 0.0
+    floor_scale = max(1.0, float(np.max(np.abs(c))))
+    for end in (slice(n - int(rng.integers(0, 4)), n), slice(0, int(rng.integers(0, 3)))):
+        k = len(c[end])
+        phases = np.exp(2j * np.pi * rng.uniform(size=k))
+        c[end] = phases * 10.0 ** rng.uniform(-13, -11, k) * floor_scale
+    if rng.uniform() < 0.3:
+        c[: int(rng.integers(1, 3))] = 0.0
+    return c
 
 
 class TestNumpyKernelParity:
@@ -392,6 +516,112 @@ class TestNumpyKernelParity:
             for x, y in ((a, b), (b, a)):
                 assert same_bits((x * y).coeffs, ComplexPoly(npp.polymul(x.coeffs, y.coeffs)).coeffs)
                 assert same_bits((x + y).coeffs, ComplexPoly(npp.polyadd(x.coeffs, y.coeffs)).coeffs)
+
+    def test_trim_and_valuation_match_numpy(self):
+        rng = np.random.default_rng(106)
+        for _ in range(10_000):
+            c = trim_case(rng)
+            for given in (c, c.tolist(), c[::-1]):
+                out, ref = _trim(given), numpy_trim(given)
+                assert same_bits(out, ref)
+                assert out.flags.c_contiguous == ref.flags.c_contiguous
+            raw = types.SimpleNamespace(coeffs=c)  # valuation of an untrimmed array too
+            assert _valuation(raw) == numpy_valuation(raw)
+            p = ComplexPoly(c)
+            assert _valuation(p) == numpy_valuation(p)
+
+    def test_degree_one_roots_match_np_roots(self):
+        # the entry of the 1 x 1 companion matrix is its eigenvalue as LAPACK
+        # returns it, over 16 decades and down to 1e-120 (LAPACK rescales the
+        # matrix first below 2**-459)
+        rng = np.random.default_rng(107)
+        for _ in range(2_000):
+            root, lead = np.exp(2j * np.pi * rng.uniform(size=2)) * 10.0 ** rng.uniform(-8, 8, 2)
+            c = np.concatenate((np.zeros(int(rng.integers(0, 3))), [-root * lead, lead]))
+            p = ComplexPoly(c)
+            assert p.degree == len(c) - 1
+            assert same_bits(p.roots(), np.roots(c[::-1]))
+        for e in (-120, -60):  # trimming keeps every root below 1e12 in modulus
+            c = np.array([10.0**e * (0.3 - 0.7j), 0.9 + 0.2j])
+            assert same_bits(ComplexPoly(c).roots(), np.roots(c[::-1]))
+
+    def test_rational_construction_matches_numpy(self):
+        # negated inputs carry -0.0 parts, which a product by z**0 turns into
+        # +0.0; the constructor must keep that without the product
+        rng = np.random.default_rng(108)
+        for trial in range(600):
+            inside = rng.uniform(0.1, 0.8, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            outside = rng.uniform(1.25, 3.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            poles = np.concatenate((inside, outside))[: int(rng.integers(1, 5))]
+            den = npp.polyfromroots(poles)
+            if trial % 3 == 0:  # a common factor to cancel
+                num = npp.polyfromroots([poles[0], rng.standard_normal()])
+            elif trial % 3 == 1:  # real coefficients
+                num = rng.standard_normal(int(rng.integers(1, 5))).round(1)
+            else:
+                num = random_coeffs(rng, int(rng.integers(0, 4)))
+            num = np.concatenate((np.zeros(int(rng.integers(0, 3))), num))
+            den = np.concatenate((np.zeros(int(rng.integers(0, 3))), den))
+            den = den * (0.5 - 1j) ** (trial % 2)  # monic or not
+            for n in (num, -np.asarray(num, dtype=complex)):
+                f = RationalFn(ComplexPoly(n), ComplexPoly(den))
+                with numpy_kernels():
+                    ref_num, ref_den = numpy_rational(n, den)
+                assert same_bits(f.num.coeffs, ref_num) and same_bits(f.den.coeffs, ref_den)
+        f = RationalFn(-ComplexPoly([1.0, 0.0, -2.0]))
+        assert np.signbit(f.num.coeffs.imag).tolist() == [False, False, False]
+
+    def test_model_space_build_matches_numpy(self):
+        rng = np.random.default_rng(109)
+        cases = [(), (0.0,), (0.0, 0.0, 0.5), (0.3j, 0.3j, 0.3j, -0.5), (1e-13, 0.2, 1e-13j),
+                 (0.95, -0.95j, 0.95 * np.exp(1j))]
+        for n in (1, 2, 3, 5, 8, 16, 24, 32):
+            for radius in (0.5, 0.8, 0.95):
+                zeros = radius * np.sqrt(rng.uniform(size=n))
+                zeros = zeros * np.exp(2j * np.pi * rng.uniform(size=n))
+                if n > 2:
+                    zeros[-1], zeros[1] = zeros[0], 0.0  # a repeated zero, a zero at the origin
+                cases.append(tuple(zeros))
+        for zeros in cases:
+            inner = BlaschkeProduct(zeros)
+            space = ModelSpace(inner)
+            with numpy_kernels():
+                parts, den_full, lifts = numpy_space_build(inner)
+            assert len(space._parts) == len(parts)
+            for (num, den), (ref_num, ref_den) in zip(space._parts, parts):
+                assert same_bits(num, ref_num) and same_bits(den, ref_den)
+            assert same_bits(space._den_full.coeffs, den_full)
+            assert same_bits(space.L, lifts)
+
+
+class TestTrim:
+    """Edge cases of the coefficient trim behind every ``ComplexPoly``."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_non_finite_raises_at_every_position(self, bad, position):
+        c = np.array([1.0, 2.0 - 1j, 3.0, 0.5j, 4.0])
+        c[position] = bad
+        for given in (c, c.tolist()):
+            with pytest.raises(ValueError, match="finite"):
+                ComplexPoly(given)
+
+    def test_all_below_floor_trims_to_empty(self):
+        assert ComplexPoly([1e-13, 0.0, 5e-13j]).is_zero
+        assert ComplexPoly(np.array([1e-13, 1e-12], dtype=complex)).is_zero  # the floor itself goes
+
+    def test_floor_is_absolute_below_scale_one(self):
+        # relative to the scale 1e-3 the floor would be 1e-15 and keep all three
+        assert ComplexPoly([1e-3, 2e-12, 5e-13]).degree == 1
+        # above scale one it is relative: 1e-12 * 1e3
+        assert ComplexPoly([1e3, 5e-10]).degree == 0
+        assert ComplexPoly([1e3, 2e-9]).degree == 1
+
+    def test_leaves_the_callers_array_writable(self):
+        for c in ([1.0, 2.0, 3.0], [1.0, 2.0, 0.0]):
+            a = np.array(c, dtype=complex)
+            p = ComplexPoly(a)
+            assert a.flags.writeable and not p.coeffs.flags.writeable
 
 
 class TestCircleNodeCount:

@@ -42,7 +42,12 @@ a shift ``w`` drawn in the disk of the zero radius, and its defect matrix is
 compared with ``G - I`` for the quadrature Gram matrix ``G`` of ``J e_k``,
 on nodes counted from the zeros and the roots of ``J``'s denominator.  Each
 line is one cell: the median and largest relative deviation and the median
-call time of each function (``-`` where a function is not run).  One ``wh``
+call time of each function (``-`` where a function is not run).  One
+``layer`` line per degree then gives the median time, over the 30 draws of
+that degree, of the two exact-layer constructions under every cell: the
+domain's ``ModelSpace(inner)`` and one ``RationalFn`` product ``symbol *
+e_0`` with the first basis function, which is built before the clock
+starts.  Each is one call between other work, so caches are cold.  One ``wh``
 line per degree then gives, over 10 symbols ``1 + sum c_k z**k`` with ``0 <
 |k| <= 2`` and ``sum |c_k| <= 0.8`` (the ``cli_readme`` family), the
 largest relative deviation of ``MatrixFactorization.inverse`` from a
@@ -213,6 +218,7 @@ def cell_text(values):
 
 def sweep(mst, workloads):
     oracle = workloads.oracle
+    layer_s = {n: ([], []) for n in SWEEP_DEGREES}  # ModelSpace builds, products
     print("n radius | tto_matrix: median max deviation, median s"
           " | conjugation_matrix: median max deviation, median s"
           " | crofoot_defect_matrix: median max deviation, median s")
@@ -221,10 +227,14 @@ def sweep(mst, workloads):
             tto_rows, conj_rows, crofoot_rows = [], [], []
             for draw in range(SWEEP_DRAWS):
                 (dom, cod), num, poles, constant, w = sweep_draw(workloads, n, radius, draw)
-                k_dom = mst.ModelSpace(mst.BlaschkeProduct(tuple(dom), constant))
+                inner = mst.BlaschkeProduct(tuple(dom), constant)
+                k_dom, build_s = timed(lambda: mst.ModelSpace(inner))
                 k_cod = mst.ModelSpace(mst.BlaschkeProduct(tuple(cod)))
                 symbol = mst.RationalFn(mst.ComplexPoly(num),
                                         mst.ComplexPoly(npp.polyfromroots(poles)))
+                e_0 = k_dom.basis[0]
+                layer_s[n][0].append(build_s)
+                layer_s[n][1].append(timed(lambda: symbol * e_0)[1])
                 tto, tto_s = timed(lambda: mst.tto_matrix(k_dom, k_cod, symbol).entries)
                 z = oracle.nodes(oracle.node_count(np.concatenate([dom, cod, poles])))
                 ref = oracle.compression(dom, cod, workloads.SampledSymbol(num, poles)(z), z)
@@ -237,6 +247,9 @@ def sweep(mst, workloads):
                     crofoot_rows.append(crofoot_cell(mst, oracle, k_dom, dom, constant, w))
             print(f"{n:2d} {radius:.2f} | {cell_text(tto_rows)} | {cell_text(conj_rows)} "
                   f"| {cell_text(crofoot_rows or None)}", flush=True)
+    print("layer n | ModelSpace(inner): median s | symbol * e_0: median s")
+    for n, (builds, products) in layer_s.items():
+        print(f"layer {n:2d} | {np.median(builds):.2e} | {np.median(products):.2e}", flush=True)
     print("wh n | MatrixFactorization.inverse: max deviation, median s of factorize + inverse")
     for n in SWEEP_DEGREES:
         print(wh_line(mst, oracle, n), flush=True)
