@@ -1,7 +1,9 @@
 # Compressions to the complement of a model space.
 #
 # The complement is infinite dimensional, so its elements are explicit
-# rational functions carrying a verified analytic/anti-analytic split.  For
+# rational functions stored as their analytic and anti-analytic halves; the
+# constructor takes the halves as given, so these members are written down
+# by hand.  For
 # the distinguished symbol alpha(z) * (z - 1) the kernel of the complement
 # compression is computable in closed form; DualKernel.membership_defect
 # measures how far the returned elements are from meeting the kernel

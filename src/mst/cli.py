@@ -102,9 +102,14 @@ def _parse_complex(text: str, offset: int = 0) -> complex:
         raise ShorthandError(f"bad number {text!r}", offset) from None
 
 
-def _split_top_level(s: str, separators: str):
-    """Split at top-level separator characters (respecting parentheses and
-    exponent signs); yields ``(piece, offset)`` pairs."""
+def _split_top_level(s: str, separators: str, not_after: str = None):
+    """Split ``s`` at its top-level characters in ``separators`` into
+    ``(piece, offset)`` pairs; unbalanced parentheses raise.
+
+    Without ``not_after`` the cut character is dropped.  With it (the rule
+    for signed terms) a cut also needs the preceding character outside
+    ``not_after``, and the cut character heads the next piece.
+    """
     depth = 0
     start = 0
     pieces = []
@@ -116,8 +121,12 @@ def _split_top_level(s: str, separators: str):
             if depth < 0:
                 raise ShorthandError("unbalanced ')'", k)
         elif ch in separators and depth == 0 and k > start:
-            pieces.append((s[start:k], start))
-            start = k + 1
+            if not_after is None:
+                pieces.append((s[start:k], start))
+                start = k + 1
+            elif s[k - 1] not in not_after:
+                pieces.append((s[start:k], start))
+                start = k
     if depth != 0:
         raise ShorthandError("unbalanced '('", len(s) - 1)
     pieces.append((s[start:], start))
@@ -131,29 +140,17 @@ _TERM_RE = re.compile(
 
 def _parse_poly(text: str, offset: int = 0) -> ComplexPoly:
     s = text.strip()
-    if s.startswith("(") and s.endswith(")") and _balanced(s[1:-1]):
+    if s.startswith("(") and s.endswith(")"):
         inner = s[1:-1]
+        try:
+            inner_terms = _split_top_level(inner, "+-", "eE")
+        except ShorthandError:  # the parentheses close early, as in "(1)+(2)"
+            inner_terms = []
         # unwrap only when the parentheses enclose the whole polynomial
-        if "z" in inner or _is_sum(inner):
+        if inner_terms and ("z" in inner or len(inner_terms) > 1):
             return _parse_poly(inner, offset + 1)
     coeffs: dict[int, complex] = {}
-    # walk signed terms at the top level
-    k = 0
-    terms = []
-    depth = 0
-    term_start = 0
-    while k < len(s):
-        ch = s[k]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > 0 and s[k - 1] not in "eE+-*/^(":
-            terms.append((s[term_start:k], term_start))
-            term_start = k
-        k += 1
-    terms.append((s[term_start:], term_start))
-    for raw, at in terms:
+    for raw, at in _split_top_level(s, "+-", "eE+-*/^("):
         t = raw.strip()
         if not t:
             raise ShorthandError("empty term", offset + at)
@@ -181,30 +178,6 @@ def _parse_poly(text: str, offset: int = 0) -> ComplexPoly:
     for p, c in coeffs.items():
         dense[p] = c
     return ComplexPoly(dense)
-
-
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
-
-
-def _is_sum(s: str) -> bool:
-    depth = 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > 0 and s[k - 1] not in "eE":
-            return True
-    return False
 
 
 def parse_shorthand(s: str):

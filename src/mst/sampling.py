@@ -24,18 +24,17 @@ def _random_coeffs(rng, count: int) -> np.ndarray:
     return rng.standard_normal(count) + 1j * rng.standard_normal(count)
 
 
-def random_rational(
-    rng,
-    num_degree: int = 3,
-    inside_poles: int = 1,
-    outside_poles: int = 1,
-    margin: float = 0.2,
-) -> RationalFn:
-    """Random quotient with poles at distance >= ``margin`` from the circle."""
-    num = ComplexPoly(_random_coeffs(rng, num_degree + 1))
-    inside = random_disk_points(rng, inside_poles, radius=1.0 - margin)
-    outside_r = rng.uniform(1.0 + margin * 1.25, 3.0, outside_poles)
-    outside = outside_r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, outside_poles))
+#: shape of every :func:`random_rational` draw: numerator degree, pole
+#: counts on either side of the circle, and their distance from it
+NUM_DEGREE, INSIDE_POLES, OUTSIDE_POLES, MARGIN = 3, 1, 1, 0.2
+
+
+def random_rational(rng) -> RationalFn:
+    """Random quotient with poles at distance >= ``MARGIN`` from the circle."""
+    num = ComplexPoly(_random_coeffs(rng, NUM_DEGREE + 1))
+    inside = random_disk_points(rng, INSIDE_POLES, radius=1.0 - MARGIN)
+    outside_r = rng.uniform(1.0 + MARGIN * 1.25, 3.0, OUTSIDE_POLES)
+    outside = outside_r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, OUTSIDE_POLES))
     den = ComplexPoly.from_roots(np.concatenate([inside, outside]))
     return RationalFn(num, den)
 

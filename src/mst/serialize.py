@@ -27,7 +27,6 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_csv",
     "complement_element_to_json",
-    "complement_element_from_json",
     "factorization_to_json",
     "complex_to_pair",
     "pair_to_complex",
@@ -150,18 +149,6 @@ def complement_element_to_json(e: ComplementElement) -> dict:
         "analytic": rational_to_json(e.analytic),
         "antianalytic": rational_to_json(e.antianalytic),
     }
-
-
-def complement_element_from_json(doc) -> ComplementElement:
-    _reject_unknown(doc, {"theta", "analytic", "antianalytic"}, "complement element")
-    for key in ("theta", "analytic", "antianalytic"):
-        if key not in doc:
-            raise SchemaError(f"complement element needs {key!r}")
-    return ComplementElement(
-        blaschke_from_json(doc["theta"]),
-        rational_from_json(doc["analytic"]),
-        rational_from_json(doc["antianalytic"]),
-    )
 
 
 def factorization_to_json(fact: MatrixFactorization) -> dict:

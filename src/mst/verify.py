@@ -271,12 +271,10 @@ def _suite_dual(seed: int) -> SuiteReport:
         # theta * z^j lies in theta H^2 and z^-j in the negative half, so the
         # probes are complement members by construction
         probes = [
-            ComplementElement._trusted(theta, theta_rat, RationalFn.zero()),
-            ComplementElement._trusted(
-                theta, theta_rat * RationalFn.monomial(1), RationalFn.zero()
-            ),
-            ComplementElement._trusted(theta, RationalFn.zero(), RationalFn.monomial(-1)),
-            ComplementElement._trusted(theta, RationalFn.zero(), RationalFn.monomial(-2)),
+            ComplementElement(theta, theta_rat, RationalFn.zero()),
+            ComplementElement(theta, theta_rat * RationalFn.monomial(1), RationalFn.zero()),
+            ComplementElement(theta, RationalFn.zero(), RationalFn.monomial(-1)),
+            ComplementElement(theta, RationalFn.zero(), RationalFn.monomial(-2)),
         ]
         phi = random_rational(rng)
         space = ModelSpace(theta)

@@ -21,7 +21,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .modelspace import ModelSpace
 from .operators import OperatorMatrix, tto_matrix
-from .rational import ComplexPoly, RationalFn, _valuation, unit_circle_samples
+from .rational import ComplexPoly, RationalFn, _valuation, circle_gap
 
 __all__ = [
     "MatrixFactorization",
@@ -42,7 +42,8 @@ class NoCanonicalFactorization(ArithmeticError):
 
 
 class DegreeCapExceeded(ArithmeticError):
-    """The degree-bound search hit its cap without a verdict (undetermined)."""
+    """No factorization at the degree bound the symbol fixes, and the
+    operator is not verified singular (undetermined)."""
 
 
 class SingularOperator(ArithmeticError):
@@ -68,10 +69,9 @@ class MatrixFactorization:
     degree_bound: int
 
     def recombination_defect(self) -> float:
-        """Largest deviation of ``G_minus @ G_plus`` from the symbol matrix
-        ``[[conj(z)^n, 0], [phi, z^n]]`` over 32 circle points, with
+        """Largest :func:`circle_gap` of ``G_minus @ G_plus`` from the symbol
+        matrix ``[[conj(z)^n, 0], [phi, z^n]]`` over its four entries, with
         ``G_plus`` the adjugate of ``g_plus_inv`` over its determinant."""
-        zs = unit_circle_samples(32)
         inv_det = 1.0 / self.det
         p = self.g_plus_inv
         g_plus = [
@@ -82,12 +82,12 @@ class MatrixFactorization:
             [RationalFn.monomial(-self.n), RationalFn.zero()],
             [self.phi, RationalFn.monomial(self.n)],
         ]
-        worst = 0.0
-        for i in range(2):
-            for j in range(2):
-                val = sum(self.g_minus[i][k](zs) * g_plus[k][j](zs) for k in range(2))
-                worst = max(worst, float(np.max(np.abs(val - g[i][j](zs)))))
-        return worst
+        return max(
+            circle_gap(lambda z: sum(self.g_minus[i][k](z) * g_plus[k][j](z) for k in range(2)),
+                       g[i][j])
+            for i in range(2)
+            for j in range(2)
+        )
 
     def inverse(self) -> np.ndarray:
         """The ``n`` x ``n`` matrix of the inverse compression on the
@@ -119,13 +119,13 @@ def _as_symbol(phi) -> RationalFn:
 
 
 def _laurent_data(phi: RationalFn):
-    """Coefficients and offset of a Laurent polynomial; rejects true poles."""
-    for r in phi.den.roots():
-        if abs(r) > 1e-8:
-            raise ValueError("symbol must be a Laurent polynomial (poles only at the origin)")
+    """Coefficients and offset of a Laurent polynomial: the denominator
+    must be a monomial (:func:`~mst.rational._valuation` equal to its
+    degree), so any pole off the origin is rejected."""
     m = phi.den.degree
-    coeffs = np.asarray(phi.num.coeffs, dtype=complex)
-    return coeffs, -m
+    if _valuation(phi.den) != m:
+        raise ValueError("symbol must be a Laurent polynomial (poles only at the origin)")
+    return np.asarray(phi.num.coeffs, dtype=complex), -m
 
 
 def _section(coeffs, lo: int, rows: int, cols: int) -> np.ndarray:
@@ -178,43 +178,36 @@ def _try_degree(n: int, coeffs: np.ndarray, lo: int, bound: int):
 def wiener_hopf_factorize(n: int, phi) -> MatrixFactorization:
     """Canonical factorization of the triangular symbol for degree ``n``.
 
-    Searches degree bounds upward from ``n``.  A successful solve must also
-    produce a constant nonzero determinant for the analytic factor.  If the
-    cap is reached, the direct compressed matrix decides the verdict:
-    verified singularity raises :class:`NoCanonicalFactorization`, anything
-    else :class:`DegreeCapExceeded` (undetermined).
+    Solves once, at the degree bound ``max(n, top power of phi)``: ``p11``
+    is monic of degree ``n`` and ``p21`` carries the top power of ``phi``,
+    so no other bound is consistent.  The solve must also produce a
+    constant nonzero determinant for the analytic factor.  Otherwise the
+    direct compressed matrix decides the verdict: verified singularity
+    raises :class:`NoCanonicalFactorization`, anything else
+    :class:`DegreeCapExceeded` (undetermined).
     """
     if n < 1:
         raise ValueError("the monomial degree must be at least 1")
     phi = _as_symbol(phi)
     coeffs, lo = _laurent_data(phi)
-    if coeffs.size:
-        width = len(coeffs) - 1 - _valuation(phi.num)
-    else:
-        width = 0
-    cap = n + 2 * width + 4
-    for bound in range(n, cap + 1):
-        attempt = _try_degree(n, coeffs, lo, bound)
-        if attempt is None:
-            continue
+    bound = max(n, lo + len(coeffs) - 1)
+    attempt = _try_degree(n, coeffs, lo, bound)
+    if attempt is not None:
         parts, residual = attempt
         p11, p12, p21, p22 = parts
         det = p11 * p22 - p12 * p21
         det0 = complex(det(0.0)) if not det.is_zero else 0.0
         tail = det - ComplexPoly([det0])
         tail_norm = float(np.max(np.abs(tail.coeffs))) if not tail.is_zero else 0.0
-        if abs(det0) < 1e-8 or tail_norm > 1e-8 * max(1.0, abs(det0)):
-            continue
-        return _assemble(n, phi, parts, det0, residual, bound)
+        if not (abs(det0) < 1e-8 or tail_norm > 1e-8 * max(1.0, abs(det0))):
+            return _assemble(n, phi, parts, det0, residual, bound)
     try:
         invert_direct(n, phi)
     except SingularOperator:
         raise NoCanonicalFactorization(
             "no canonical factorization: the compressed operator is singular"
         ) from None
-    raise DegreeCapExceeded(
-        f"no factorization found up to the degree cap {cap}; result undetermined"
-    )
+    raise DegreeCapExceeded(f"no factorization at the degree bound {bound}; result undetermined")
 
 
 def _assemble(n, phi, parts, det0, residual, bound) -> MatrixFactorization:

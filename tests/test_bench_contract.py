@@ -155,3 +155,16 @@ def test_model_suite_work_counts():
     assert recorder.calls["rational.RationalFn"] == 1659
     assert recorder.calls["rational.roots"] == 2611
     assert recorder.calls["modelspace.ModelSpace"] == 20
+
+
+def test_complement_elements_are_counted():
+    # a complement element is a plain dataclass record: its generated
+    # __init__ is the span, and every kernel basis element goes through it
+    spans = load_spans()
+    recorder = spans.Recorder()
+    z3 = mst.BlaschkeProduct((0.0, 0.0, 0.0))
+    with spans.Tracer(mst, recorder):
+        kernel = mst.dual_kernel(z3, z3)
+    assert kernel.dim == 2
+    assert recorder.calls["dual.dual_kernel"] == 1
+    assert recorder.calls["dual.ComplementElement"] == kernel.dim

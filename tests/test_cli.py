@@ -1,13 +1,16 @@
 """Command-line interface: shorthand grammar, dispatch, exit codes, formats."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mst import cli
 from mst.blaschke import BlaschkeProduct
 from mst.cli import ShorthandError, parse_shorthand, run_command
-from mst.rational import RationalFn
+from mst.rational import ComplexPoly, RationalFn
 
 
 class TestParseShorthand:
@@ -60,6 +63,151 @@ class TestParseShorthand:
         with pytest.raises(ShorthandError) as info:
             parse_shorthand("1 + $z")
         assert "position" in str(info.value)
+
+
+# -- reference scanners: four separate parenthesis-depth loops -------------
+
+
+def _ref_split_top_level(s, separators):
+    depth = 0
+    start = 0
+    pieces = []
+    for k, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ShorthandError("unbalanced ')'", k)
+        elif ch in separators and depth == 0 and k > start:
+            pieces.append((s[start:k], start))
+            start = k + 1
+    if depth != 0:
+        raise ShorthandError("unbalanced '('", len(s) - 1)
+    pieces.append((s[start:], start))
+    return pieces
+
+
+def _ref_balanced(s):
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+def _ref_is_sum(s):
+    depth = 0
+    for k, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and k > 0 and s[k - 1] not in "eE":
+            return True
+    return False
+
+
+def _ref_parse_poly(text, offset=0):
+    s = text.strip()
+    if s.startswith("(") and s.endswith(")") and _ref_balanced(s[1:-1]):
+        inner = s[1:-1]
+        if "z" in inner or _ref_is_sum(inner):
+            return _ref_parse_poly(inner, offset + 1)
+    coeffs = {}
+    k = 0
+    terms = []
+    depth = 0
+    term_start = 0
+    while k < len(s):
+        ch = s[k]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and k > 0 and s[k - 1] not in "eE+-*/^(":
+            terms.append((s[term_start:k], term_start))
+            term_start = k
+        k += 1
+    terms.append((s[term_start:], term_start))
+    for raw, at in terms:
+        t = raw.strip()
+        if not t:
+            raise ShorthandError("empty term", offset + at)
+        sign = 1.0
+        while t and t[0] in "+-":
+            if t[0] == "-":
+                sign = -sign
+            t = t[1:].strip()
+        match = cli._TERM_RE.match(t.replace(" ", ""))
+        if not match or (not match.group("coeff") and not match.group("zpart")):
+            raise ShorthandError(f"bad term {raw.strip()!r}", offset + at)
+        coeff_text = match.group("coeff") or ""
+        if coeff_text.startswith("("):
+            coeff = cli._parse_complex(coeff_text[1:-1], offset + at)
+        elif coeff_text in ("", None):
+            coeff = 1.0 + 0.0j
+        else:
+            coeff = cli._parse_complex(coeff_text, offset + at)
+        power = 0
+        if match.group("zpart"):
+            power = int(match.group("exp") or 1)
+        coeffs[power] = coeffs.get(power, 0.0) + sign * coeff
+    top = max(coeffs) if coeffs else 0
+    dense = np.zeros(top + 1, dtype=complex)
+    for p, c in coeffs.items():
+        dense[p] = c
+    return ComplexPoly(dense)
+
+
+def _outcome(text):
+    """What a parse gives: coefficient bytes, zeros, or the exception."""
+    try:
+        obj = parse_shorthand(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(obj, RationalFn):
+        return obj.num.coeffs.tobytes(), obj.den.coeffs.tobytes()
+    return repr(obj.zeros), repr(obj.constant)
+
+
+def _reference_outcome(text):
+    with mock.patch.object(cli, "_split_top_level", _ref_split_top_level), \
+            mock.patch.object(cli, "_parse_poly", _ref_parse_poly):
+        return _outcome(text)
+
+
+GRAMMAR_ATOMS = [
+    "z", "z^2", "z^10", "z^", "2", "0.5", ".5", "1.5", "0", "1e-3", "2E+2", "1e",
+    "e", "e-", "i", "j", "-i", "3i", "0.25j", "ij", "(", ")", "(1+2i)",
+    "(0.5-0.5i)", "(z+1)", "(1)", "+", "-", "+-", "*", "**", "/", "^", ",", " ",
+    "blaschke(", "blaschke()", "nan", "inf",
+]
+
+KNOWN_INPUTS = [
+    "z^3", "blaschke(0.5, 0.3333333333)", "(1 + 0.8333333333z)/1", "2z^2 - 0.5z + 1",
+    "blaschke(0.3-0.2i, 0.1i)", "(0.5+0.5i)z^2", "(z^2+1)/z", "1 + 0.8333333333z",
+    "1 + $z", "blaschke(0.5", "(1+0.3z)/(z-0.000000001)", "1/(1-z)", "1/0", "1e400",
+    "(0.1+0.2i)+(0.3-0.1i)z+(-0.5+0.0i)z^2", "((0.25-1.5e-05i)+(1.0+0.0i)z)/((2.0+0.0i))",
+    "(1)+(2)", "(1*-2)", "((z))", "-(z)", "blaschke((0.5), 0.1)", "blaschke(,0.5)",
+]
+
+
+class TestScannerDifferential:
+    """One top-level scanner parses exactly as four separate loops did."""
+
+    @pytest.mark.parametrize("text", KNOWN_INPUTS)
+    def test_known_inputs(self, text):
+        assert _outcome(text) == _reference_outcome(text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(GRAMMAR_ATOMS), max_size=12).map("".join))
+    def test_random_joins_of_grammar_atoms(self, text):
+        assert _outcome(text) == _reference_outcome(text)
 
 
 class TestCommands:
@@ -255,6 +403,12 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "input error" in captured.err
         assert captured.out == ""
+
+    def test_wh_inverse_rejects_pole_near_origin(self, capsys):
+        # a pole at 1e-9 is no monomial denominator: it is not read as 1/z
+        argv = ["wh-inverse", "--n", "2", "--symbol", "(1+0.3z)/(z-0.000000001)", "--rhs", "1"]
+        assert run_command(argv) == 1
+        assert "Laurent polynomial" in capsys.readouterr().err
 
     def test_env_tolerance(self, capsys, monkeypatch):
         argv = [

@@ -17,6 +17,7 @@ from mst.modelspace import ModelSpace, NoMultiplierError, multiplier_between
 from mst.rational import (
     ComplexPoly,
     RationalFn,
+    antianalytic_residual,
     circle_conjugate,
     norm2,
     sup_on_circle,
@@ -51,7 +52,7 @@ def exact_probe(theta, rng):
     anti_coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     antianalytic = RationalFn(ComplexPoly(anti_coeffs), ComplexPoly.monomial(3))
     scale = 1.0 / max(norm2(analytic) + norm2(antianalytic), 1e-12)
-    return ComplementElement._trusted(theta, scale * analytic, scale * antianalytic)
+    return ComplementElement(theta, scale * analytic, scale * antianalytic)
 
 
 class TestComplementElement:
@@ -59,14 +60,17 @@ class TestComplementElement:
         e = element(Z2, to_rational(Z2) * (ONE + RationalFn.monomial(1)), ZBAR)
         assert sup_on_circle(e.total()) > 0
 
-    def test_rejects_analytic_in_antianalytic_slot(self):
-        with pytest.raises(ValueError):
-            element(Z2, antianalytic=ONE)
+    def test_analytic_function_has_antianalytic_residual(self):
+        # the constant 1 is no anti-analytic half: the residual that checks
+        # a hand-built element's anti-analytic slot flags it
+        assert antianalytic_residual(ONE) > 1e-3
+        assert antianalytic_residual(ZBAR) < 1e-12
 
-    def test_rejects_model_space_leak(self):
-        # z lies inside the model space of z^2, not in its complement
-        with pytest.raises(ValueError):
-            element(Z2, analytic=RationalFn.monomial(1))
+    def test_model_space_leak_has_projection(self):
+        # z lies inside the model space of z^2, not in its complement: the
+        # projection that checks a hand-built element's analytic slot is z
+        assert norm2(K_Z2.project(RationalFn.monomial(1))) > 1e-3
+        assert norm2(K_Z2.project(RationalFn.monomial(2))) < 1e-12
 
 
 class TestDualApply:
@@ -191,7 +195,7 @@ class TestDualKernel:
         assert res.membership_defect() < 1e-12
         assert dual_kernel(BlaschkeProduct((0.0,)), Z2).membership_defect() == 0.0
         # z^-1 lies in the complement but is not annihilated
-        bad = ComplementElement._trusted(Z2, RationalFn.zero(), ZBAR)
+        bad = ComplementElement(Z2, RationalFn.zero(), ZBAR)
         assert replace(res, basis=(bad,)).membership_defect() > 1e-3
 
 

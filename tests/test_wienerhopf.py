@@ -61,6 +61,36 @@ class TestFactorize:
         fact.g_minus[1][0] = fact.g_minus[1][0] + 0.01 * Z
         assert fact.recombination_defect() > 1e-3
 
+    def test_solves_at_the_bound_the_symbol_fixes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n, low, high = int(rng.integers(1, 6)), int(rng.integers(-3, 1)), int(rng.integers(0, 4))
+            phi = random_laurent(rng, low, high)
+            try:
+                fact = wiener_hopf_factorize(n, phi)
+            except (NoCanonicalFactorization, DegreeCapExceeded):
+                continue
+            assert fact.degree_bound == max(n, phi.num.degree - phi.den.degree)
+
+    def test_no_factorization_above_the_bound(self):
+        # near-singular (cond 7.0e9): above the one consistent bound, 3, a
+        # solve passes its gate with a factorization that recombines to
+        # within 1.09 only; at the bound it fails, so the verdict is
+        # undetermined
+        phi = RationalFn(
+            ComplexPoly([0.0375788630733165 + 0.08644613899469755j, 4.936460174881363e-05]),
+            ComplexPoly.monomial(1),
+        )
+        with pytest.raises(DegreeCapExceeded, match="degree bound 3"):
+            wiener_hopf_factorize(3, phi)
+
+    @pytest.mark.parametrize("pole", [1e-11, 1e-9, 5e-9])
+    def test_rejects_pole_near_origin(self, pole):
+        # a pole off the origin, however close, is no Laurent polynomial
+        phi = RationalFn(ComplexPoly([1.0, 0.3]), ComplexPoly([-pole, 1.0]))
+        with pytest.raises(ValueError, match="Laurent polynomial"):
+            wiener_hopf_factorize(2, phi)
+
     def test_shift_symbol_fails(self):
         with pytest.raises(NoCanonicalFactorization):
             wiener_hopf_factorize(2, Z)
