@@ -9,14 +9,14 @@ import numpy as np
 
 from mst import (
     BlaschkeProduct,
+    ModelSpace,
     RationalFn,
-    build_space,
     monomial_factorization,
     multiplier_between,
     reproducing_kernels,
+    unimodularity_defect,
     unit_circle_samples,
 )
-from mst.blaschke import unimodularity_defect
 
 alpha = BlaschkeProduct((0.5, 1.0 / 3.0))
 zs = unit_circle_samples(32)
@@ -30,7 +30,7 @@ print("factorization reconstructs the product:",
       monomial_factorization(alpha).reconstruction_defect(alpha))
 
 # --- the model space and its basis -------------------------------------------
-space = build_space(alpha)
+space = ModelSpace(alpha)
 print("space dimension:", space.dim)
 gram = space.gram()
 print("gram matrix is the identity:", np.linalg.norm(gram - np.eye(space.dim)))
@@ -52,7 +52,7 @@ print("complement projection recovers the rest:",
 # --- multipliers between equal-degree spaces ----------------------------------
 # The canonical multiplier is a ratio of the outer denominators; it is
 # invertible analytic both ways and carries one space onto the other.
-monomials = build_space(BlaschkeProduct((0.0, 0.0)))
+monomials = ModelSpace(BlaschkeProduct((0.0, 0.0)))
 a = multiplier_between(monomials, space)
 print("multiplier numerator/denominator:", a.num.coeffs, a.den.coeffs)
 for e in monomials.basis:

@@ -11,8 +11,8 @@ import numpy as np
 from mst import (
     BlaschkeProduct,
     ComplexPoly,
+    ModelSpace,
     RationalFn,
-    build_space,
     equivalence_transform,
     kernel_and_range,
     multiplication_matrix,
@@ -23,7 +23,7 @@ from mst import (
 
 alpha = BlaschkeProduct((0.5, 1.0 / 3.0))
 z2 = BlaschkeProduct((0.0, 0.0))
-k_alpha, k_z2 = build_space(alpha), build_space(z2)
+k_alpha, k_z2 = ModelSpace(alpha), ModelSpace(z2)
 
 # --- reduce an operator with a fancy symbol to a Toeplitz matrix --------------
 num = ComplexPoly.from_roots([0.5, 1.0 / 3.0]) * ComplexPoly([1.0, 0.0, 1.0])

@@ -10,8 +10,8 @@ import numpy as np
 from mst import (
     BlaschkeProduct,
     ComplexPoly,
+    ModelSpace,
     RationalFn,
-    build_space,
     circle_conjugate,
     conjugation_matrix,
     conjugation_pullback,
@@ -27,7 +27,7 @@ from mst import (
 )
 
 theta = BlaschkeProduct((0.0, 0.0, 0.0))
-space = build_space(theta)
+space = ModelSpace(theta)
 
 # --- the shift and its isometric multiplier -----------------------------------
 w = 0.4
@@ -57,7 +57,7 @@ print("general check, mismatched constant:",
 # Every compression is complex selfadjoint for the canonical conjugation of
 # its space: conjugate, flip, and compare with the adjoint.
 alpha = BlaschkeProduct((0.5, 1.0 / 3.0))
-k_alpha = build_space(alpha)
+k_alpha = ModelSpace(alpha)
 c_alpha = conjugation_matrix(k_alpha)
 a = tto_matrix(k_alpha, k_alpha, RationalFn.monomial(1) + 0.3)
 print("compression is complex selfadjoint:", is_complex_selfadjoint(a, c_alpha))
@@ -65,8 +65,8 @@ print("conjugation is involutive:", c_alpha.involution_defect())
 
 # Pulling the conjugation back along the multiplier reproduces the canonical
 # conjugation on the smaller space.
-k_z2 = build_space(BlaschkeProduct((0.0, 0.0)))
+k_z2 = ModelSpace(BlaschkeProduct((0.0, 0.0)))
 frame = multiplication_matrix(k_z2, k_alpha, multiplier_between(k_z2, k_alpha))
-pulled = conjugation_pullback(c_alpha, frame, "via_F")
+pulled = conjugation_pullback(c_alpha, frame)
 print("pullback equals the canonical conjugation:",
       np.max(np.abs(pulled.J - conjugation_matrix(k_z2).J)))

@@ -47,5 +47,5 @@ except NoCanonicalFactorization as exc:
 c = 2.0 - 1.0j
 fact1 = wiener_hopf_factorize(1, RationalFn(ComplexPoly([c])))
 print("scalar case inverse of the constant symbol:",
-      tto_inverse_via_wh(1, RationalFn(ComplexPoly([c])), RationalFn.one(), fact1).num.coeffs,
+      tto_inverse_via_wh(fact1, RationalFn.one()).num.coeffs,
       "(expected", 1.0 / c, ")")

@@ -9,83 +9,21 @@ formulas on model-space complements, and triangular Wiener-Hopf inverses.
 
 All values are immutable after construction and every operation is a pure
 function, so the library is safe to call concurrently.
+
+Each module's ``__all__`` is its list of public names, and the package
+exports the union of those of the seven modules below.
 """
 
-from .blaschke import (
-    BlaschkeProduct,
-    MonomialFactorization,
-    blaschke_gcd,
-    blaschke_quotient,
-    frostman_shift,
-    generalized_frostman_shift,
-    monomial_factorization,
-    to_rational,
-)
-from .dual import (
-    ComplementElement,
-    DualKernel,
-    dual_apply,
-    dual_equivalence,
-    dual_kernel,
-    hankel_rank,
-)
-from .modelspace import (
-    KernelPair,
-    ModelSpace,
-    NoMultiplierError,
-    build_space,
-    crofoot_gram_check,
-    crofoot_isometry_check,
-    crofoot_multiplier,
-    multiplier_between,
-    reproducing_kernels,
-)
-from .operators import (
-    BrownHalmosCheck,
-    ConjugationMatrix,
-    EquivalenceTransform,
-    MultiplierRangeViolation,
-    NotEquivalentError,
-    OperatorMatrix,
-    brown_halmos_product,
-    conjugation_matrix,
-    conjugation_pullback,
-    equivalence_transform,
-    is_complex_selfadjoint,
-    is_zero_symbol,
-    kernel_and_range,
-    multiplication_matrix,
-    pullback_compatibility_defect,
-    rank_equivalence,
-    selfadjoint_residual,
-    subspace_angle,
-    tto_matrix,
-)
-from .rational import (
-    CirclePoleError,
-    ComplexPoly,
-    FourierSplit,
-    PoleSplitError,
-    RationalFn,
-    circle_conjugate,
-    equality_residual,
-    fourier_block,
-    fourier_coefficient,
-    inner_product,
-    norm2,
-    riesz_project,
-    sup_on_circle,
-    unit_circle_samples,
-)
-from .verify import SUITE_NAMES, run_all, run_suite
-from .wienerhopf import (
-    DegreeCapExceeded,
-    MatrixFactorization,
-    NoCanonicalFactorization,
-    SingularOperator,
-    invert_direct,
-    tto_inverse_via_wh,
-    wiener_hopf_factorize,
-)
+from . import blaschke, dual, modelspace, operators, rational, verify, wienerhopf
+from .blaschke import *  # noqa: F401,F403
+from .dual import *  # noqa: F401,F403
+from .modelspace import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .rational import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .wienerhopf import *  # noqa: F401,F403
+
+_MODULES = (blaschke, dual, modelspace, operators, rational, verify, wienerhopf)
+__all__ = [name for module in _MODULES for name in module.__all__]
 
 __version__ = "0.1.0"

@@ -325,8 +325,7 @@ def _cmd_wh_inverse(args):
         return {"status": "undetermined", "detail": str(exc)}, None, EXIT_VERIFY
     payload = factorization_to_json(fact)
     if args.rhs:
-        rhs = _as_symbol(args.rhs)
-        solution = tto_inverse_via_wh(args.n, symbol, rhs, fact)
+        solution = tto_inverse_via_wh(fact, _as_symbol(args.rhs))
         payload["solution"] = rational_to_json(solution)
     csv = "entry,value\n" + "\n".join(
         f"g_plus_inv[{i}][{j}],\"{[format_complex(c) for c in fact.g_plus_inv[i][j].coeffs]}\""

@@ -45,7 +45,6 @@ __all__ = [
     "KernelPair",
     "NoMultiplierError",
     "basis_samples",
-    "build_space",
     "reproducing_kernels",
     "multiplier_between",
     "projection_transport_defect",
@@ -274,10 +273,6 @@ def basis_samples(inner: BlaschkeProduct, z) -> np.ndarray:
         out[k] = np.sqrt(1.0 - abs(a) ** 2) / outer * tail
         tail = tail * (z - a) / outer
     return out
-
-
-def build_space(b: BlaschkeProduct) -> ModelSpace:
-    return ModelSpace(b)
 
 
 @dataclass(frozen=True)

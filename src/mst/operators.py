@@ -42,6 +42,7 @@ __all__ = [
     "selfadjoint_residual",
     "is_complex_selfadjoint",
     "conjugation_pullback",
+    "pullback_compatibility_defect",
     "rank_equivalence",
     "kernel_and_range",
     "subspace_angle",
@@ -267,9 +268,6 @@ class ConjugationMatrix:
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=complex)
 
-    def unitarity_defect(self) -> float:
-        return unitarity_defect(self.J)
-
     def involution_defect(self) -> float:
         n = self.J.shape[0]
         return float(np.linalg.norm(self.J @ np.conj(self.J) - np.eye(n)))
@@ -314,17 +312,12 @@ def is_complex_selfadjoint(
     return selfadjoint_residual(a, c) < tol
 
 
-def conjugation_pullback(
-    c: ConjugationMatrix, f: OperatorMatrix, mode: str = "via_F"
-) -> ConjugationMatrix:
+def conjugation_pullback(c: ConjugationMatrix, f: OperatorMatrix) -> ConjugationMatrix:
     """Transport a conjugation along an invertible intertwiner ``f``: ``J' =
-    F^-1 J conj(F)`` on the domain of ``f`` (``via_F``, the only ``mode``).
-    It is antilinear-unitary only when ``J conj(F F^H) = F F^H J``
-    (:func:`pullback_compatibility_defect`); the caller is expected to test
-    the returned candidate.
+    F^-1 J conj(F)`` on the domain of ``f``.  It is antilinear-unitary only
+    when ``J conj(F F^H) = F F^H J`` (:func:`pullback_compatibility_defect`);
+    the caller is expected to test the returned candidate.
     """
-    if mode != "via_F":
-        raise ValueError(f"unknown pullback mode {mode!r}")
     if not c.space.same_space(f.codomain):
         raise ValueError("conjugation must live on the codomain of the intertwiner")
     mat = f.entries

@@ -91,12 +91,14 @@ class PoleSplitError(ValueError):
 
 def _trim(coeffs) -> np.ndarray:
     """Strip trailing coefficients that vanish relative to the array scale;
-    a non-finite coefficient raises ``ValueError``.  Always a view, never the
-    caller's array: ``ComplexPoly`` freezes what this returns."""
+    a non-finite coefficient raises ``ValueError``.  Never a view of the
+    caller's array, which could change after ``ComplexPoly`` freezes the
+    result: an input array is copied only where the result would share its
+    memory."""
     c = coeffs
     if (type(c) is not np.ndarray or c.dtype is not _COMPLEX or c.ndim != 1
             or not c.flags.c_contiguous):
-        c = np.asarray(c, dtype=complex).ravel()
+        c = np.array(c, dtype=complex).ravel()  # a copy of any array input
     mags = np.abs(c).tolist()
     end = len(mags)
     if not end:
@@ -108,7 +110,7 @@ def _trim(coeffs) -> np.ndarray:
     floor = _TRIM * max(1.0, scale)
     while end and mags[end - 1] <= floor:
         end -= 1
-    return c[:end]
+    return c[:end].copy() if c is coeffs else c[:end]
 
 
 def _horner(coeffs: list, x):
@@ -335,10 +337,11 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
     eigenvalue root finder, but the value at the true point stays at eps.
 
     Returns the reduced numerator and denominator and the denominator roots
-    that survived, so the caller needs no second root solve.
+    that survived, so the caller needs no second root solve.  A constant
+    numerator cancels nothing: every denominator root survives.
     """
     droots = d_rest.roots()
-    nc = n_rest.coeffs.copy()
+    nc = n_rest.coeffs
     cancelled = False
     remaining = []
     coeffs = None  # nc, its derivative and |nc| as lists, for _horner
@@ -394,10 +397,7 @@ class RationalFn:
         vn, vd = vn - common, vd - common
         n_rest = _shift_down(n, common + vn)
         d_rest = _shift_down(d, common + vd)
-        if n_rest.degree > 0 and d_rest.degree > 0:
-            n_rest, d_rest, poles = _cancel_common_factors(n_rest, d_rest)
-        else:
-            poles = d_rest.roots()
+        n_rest, d_rest, poles = _cancel_common_factors(n_rest, d_rest)
         for r in poles:
             if abs(abs(r) - 1.0) < POLE_TOL:
                 raise CirclePoleError(

@@ -111,13 +111,6 @@ class MatrixFactorization:
         return np.max(np.abs(self.inverse() - direct.entries), axis=0)
 
 
-def _as_symbol(phi) -> RationalFn:
-    """A scalar, ``ComplexPoly`` or ``RationalFn`` symbol as a ``RationalFn``."""
-    if isinstance(phi, RationalFn):
-        return phi
-    return RationalFn(phi if isinstance(phi, ComplexPoly) else ComplexPoly([phi]))
-
-
 def _laurent_data(phi: RationalFn):
     """Coefficients and offset of a Laurent polynomial: the denominator
     must be a monomial (:func:`~mst.rational._valuation` equal to its
@@ -175,7 +168,7 @@ def _try_degree(n: int, coeffs: np.ndarray, lo: int, bound: int):
     return [ComplexPoly(part) for part in np.split(solution, 4)], residual
 
 
-def wiener_hopf_factorize(n: int, phi) -> MatrixFactorization:
+def wiener_hopf_factorize(n: int, phi: RationalFn) -> MatrixFactorization:
     """Canonical factorization of the triangular symbol for degree ``n``.
 
     Solves once, at the degree bound ``max(n, top power of phi)``: ``p11``
@@ -188,7 +181,6 @@ def wiener_hopf_factorize(n: int, phi) -> MatrixFactorization:
     """
     if n < 1:
         raise ValueError("the monomial degree must be at least 1")
-    phi = _as_symbol(phi)
     coeffs, lo = _laurent_data(phi)
     bound = max(n, lo + len(coeffs) - 1)
     attempt = _try_degree(n, coeffs, lo, bound)
@@ -235,21 +227,15 @@ def _assemble(n, phi, parts, det0, residual, bound) -> MatrixFactorization:
     )
 
 
-def tto_inverse_via_wh(
-    n: int, phi, f: RationalFn, factorization: MatrixFactorization = None
-) -> RationalFn:
+def tto_inverse_via_wh(factorization: MatrixFactorization, f: RationalFn) -> RationalFn:
     """The closed-form inverse (:meth:`MatrixFactorization.inverse`) applied
     to the coefficients of one element.
 
-    ``f`` must lie in the monomial model space (a polynomial of degree
-    below ``n``).  The result ``g`` satisfies ``compression(phi) g = f`` up
-    to the module tolerance.  A ``factorization`` passed in must be the one
-    of ``n`` and ``phi``; any other raises ``ValueError``.
+    ``f`` must lie in the monomial model space of the factorization's
+    degree ``n`` (a polynomial of degree below ``n``).  The result ``g``
+    satisfies ``compression(phi) g = f`` up to the module tolerance.
     """
-    if factorization is None:
-        factorization = wiener_hopf_factorize(n, phi)
-    elif factorization.n != n or not factorization.phi.isclose(_as_symbol(phi)):
-        raise ValueError("the factorization belongs to a different degree or symbol")
+    n = factorization.n
     if f.den.degree != 0 or (not f.is_zero and f.num.degree >= n):
         raise ValueError("right-hand side must be a polynomial of degree below n")
     rhs = np.zeros(n, dtype=complex)
@@ -257,9 +243,8 @@ def tto_inverse_via_wh(
     return RationalFn(ComplexPoly(factorization.inverse() @ rhs))
 
 
-def invert_direct(n: int, phi) -> OperatorMatrix:
+def invert_direct(n: int, phi: RationalFn) -> OperatorMatrix:
     """Direct dense inverse of the compressed operator (the oracle)."""
-    phi = _as_symbol(phi)
     space = ModelSpace(BlaschkeProduct((0.0,) * n))
     matrix = tto_matrix(space, space, phi)
     cond = np.linalg.cond(matrix.entries)

@@ -137,7 +137,7 @@ def test_wh_inverse_builds_nothing_exact():
     fact = mst.wiener_hopf_factorize(3, phi)
     recorder = spans.Recorder()
     with spans.Tracer(mst, recorder):
-        mst.tto_inverse_via_wh(3, phi, rhs, fact)
+        mst.tto_inverse_via_wh(fact, rhs)
     assert recorder.calls["wienerhopf.tto_inverse_via_wh"] == 1
     for name in ("rational.riesz_project", "modelspace.ModelSpace", "modelspace.coordinates"):
         assert recorder.calls.get(name, 0) == 0, name

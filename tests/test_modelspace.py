@@ -6,10 +6,10 @@ import pytest
 import mst.verify
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
+    ModelSpace,
     NoMultiplierError,
     annihilator_defect,
     basis_samples,
-    build_space,
     crofoot_defect_matrix,
     crofoot_gram_check,
     crofoot_isometry_check,
@@ -40,13 +40,13 @@ ONE = RationalFn.one()
 
 class TestBasis:
     def test_monomial_space(self):
-        space = build_space(Z2)
+        space = ModelSpace(Z2)
         assert space.dim == 2
         assert space.basis[0].isclose(ONE)
         assert space.basis[1].isclose(Z)
 
     def test_single_zero_space(self):
-        space = build_space(BlaschkeProduct((0.5,)))
+        space = ModelSpace(BlaschkeProduct((0.5,)))
         expected = RationalFn(
             ComplexPoly([np.sqrt(3.0) / 2.0]), ComplexPoly([1.0, -0.5])
         )
@@ -56,13 +56,13 @@ class TestBasis:
         assert abs(norm2(space.basis[0]) - 1.0) < 1e-12
 
     def test_degree_zero_space(self):
-        space = build_space(BlaschkeProduct(()))
+        space = ModelSpace(BlaschkeProduct(()))
         assert space.dim == 0 and space.basis == ()
 
     def test_gram_identity(self):
         rng = np.random.default_rng(23)
         for _ in range(8):
-            space = build_space(random_blaschke(rng, max_degree=5))
+            space = ModelSpace(random_blaschke(rng, max_degree=5))
             g = space.gram()
             assert np.linalg.norm(g - np.eye(space.dim)) < 1e-10
 
@@ -73,32 +73,32 @@ class TestBasis:
             inner = random_blaschke(rng, degree=degree)
             samples = basis_samples(inner, z)
             assert samples.shape == (degree, 64)
-            for row, e in zip(samples, build_space(inner).basis):
+            for row, e in zip(samples, ModelSpace(inner).basis):
                 assert np.max(np.abs(row - e(z))) < 1e-13
         assert basis_samples(BlaschkeProduct(()), z).shape == (0, 64)
 
     def test_change_of_basis_is_read_only(self):
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         with pytest.raises(ValueError):
             space.L[0, 0] = 5.0
-        assert np.array_equal(space.gram(), build_space(ALPHA).gram())
+        assert np.array_equal(space.gram(), ModelSpace(ALPHA).gram())
 
     @pytest.mark.parametrize("gap", [1e-9, 5e-9])
     def test_reflected_pole_in_band_is_rejected(self, gap):
         # e_k has its pole at 1 / (1 - gap), within POLE_TOL of the circle;
         # the constructor builds no RationalFn that would reject it
         with pytest.raises(CirclePoleError):
-            build_space(BlaschkeProduct((1.0 - gap,)))
+            ModelSpace(BlaschkeProduct((1.0 - gap,)))
         with pytest.raises(CirclePoleError):
-            build_space(BlaschkeProduct((0.3, (1.0 - gap) * np.exp(0.4j))))
+            ModelSpace(BlaschkeProduct((0.3, (1.0 - gap) * np.exp(0.4j))))
 
     def test_reflected_pole_outside_band_builds(self):
-        space = build_space(BlaschkeProduct((1.0 - 2e-8,)))
+        space = ModelSpace(BlaschkeProduct((1.0 - 2e-8,)))
         assert space.dim == 1 and len(space.basis) == 1
 
     def test_basis_elements_analytic_and_inside(self):
         rng = np.random.default_rng(29)
-        space = build_space(random_blaschke(rng, degree=4))
+        space = ModelSpace(random_blaschke(rng, degree=4))
         for e in space.basis:
             assert riesz_project(e).antianalytic.is_zero
             assert space.contains(e, tol=1e-10)
@@ -106,17 +106,17 @@ class TestBasis:
 
 class TestReproducingKernels:
     def test_monomial_kernels_at_zero(self):
-        pair = reproducing_kernels(build_space(Z2), 0.0)
+        pair = reproducing_kernels(ModelSpace(Z2), 0.0)
         assert pair.k.isclose(ONE)
         assert pair.k_tilde.isclose(Z)
 
     def test_monomial_kernel_at_half(self):
-        pair = reproducing_kernels(build_space(Z2), 0.5)
+        pair = reproducing_kernels(ModelSpace(Z2), 0.5)
         # oracle: polynomial division of 1 - z^2/4 by 1 - z/2
         assert pair.k.isclose(RationalFn(ComplexPoly([1.0, 0.5])))
 
     def test_conjugate_kernel_alpha(self):
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         pair = reproducing_kernels(space, 0.0)
         theta = space.rational
         expected = (theta - complex(theta(0.0))) / Z
@@ -125,7 +125,7 @@ class TestReproducingKernels:
     def test_reproducing_property(self):
         rng = np.random.default_rng(31)
         for _ in range(4):
-            space = build_space(random_blaschke(rng, max_degree=4))
+            space = ModelSpace(random_blaschke(rng, max_degree=4))
             for lam in random_disk_points(rng, 10):
                 pair = reproducing_kernels(space, lam)
                 assert space.membership_residual(pair.k) < 1e-9
@@ -135,12 +135,12 @@ class TestReproducingKernels:
 
     def test_reproducing_defect_negative_control(self):
         # theta is orthogonal to the space, so <theta, k> = 0 != theta(lam)
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         pair = reproducing_kernels(space, 0.2 - 0.1j)
         assert pair.reproducing_defect(space.rational) > 1e-3
 
     def test_boundary_point(self):
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         pair = reproducing_kernels(space, 1.0)
         assert space.membership_residual(pair.k) < 1e-8
         assert pair.reproducing_defect(space.basis[0]) < 1e-8
@@ -148,21 +148,21 @@ class TestReproducingKernels:
 
 class TestProjection:
     def test_truncation(self):
-        space = build_space(Z2)
+        space = ModelSpace(Z2)
         f = RationalFn.monomial(3) + Z
         assert space.project(f).isclose(Z, tol=1e-10)
 
     def test_antianalytic_annihilated(self):
-        space = build_space(Z2)
+        space = ModelSpace(Z2)
         assert space.project(RationalFn.monomial(-1)).is_zero
 
     def test_constant_extraction(self):
-        space = build_space(Z2)
+        space = ModelSpace(Z2)
         f = 2.0 + 5.0 * RationalFn.monomial(2)
         assert space.project(f).isclose(2.0 * ONE, tol=1e-10)
 
     def test_complement(self):
-        space = build_space(Z2)
+        space = ModelSpace(Z2)
         f2 = RationalFn.monomial(2)
         assert space.complement_project(f2).isclose(f2, tol=1e-10)
         assert space.complement_project(ONE).is_zero
@@ -171,7 +171,7 @@ class TestProjection:
 
     def test_idempotent_selfadjoint(self):
         rng = np.random.default_rng(37)
-        space = build_space(random_blaschke(rng, degree=3))
+        space = ModelSpace(random_blaschke(rng, degree=3))
         for _ in range(10):
             f = random_rational(rng)
             g = random_rational(rng)
@@ -229,24 +229,24 @@ class TestCoordinates:
         ids=("mixed", "inside-pole", "outside-pole", "polynomial"),
     )
     def test_matches_exact_pairings(self, zeros, f):
-        space = build_space(BlaschkeProduct(zeros))
+        space = ModelSpace(BlaschkeProduct(zeros))
         pairings = np.array([inner_product(f, e) for e in space.basis])
         assert np.max(np.abs(space.coordinates(f) - pairings)) < 1e-12 * (1.0 + norm2(f))
 
     def test_zero_function_and_zero_space(self):
-        space = build_space(BlaschkeProduct(COORDINATE_SPACES[2]))
+        space = ModelSpace(BlaschkeProduct(COORDINATE_SPACES[2]))
         coords = space.coordinates(RationalFn.zero())
         assert coords.shape == (5,) and not np.any(coords)
-        assert build_space(BlaschkeProduct(())).coordinates(MIXED).shape == (0,)
+        assert ModelSpace(BlaschkeProduct(())).coordinates(MIXED).shape == (0,)
 
     def test_tto_matrix_against_trapezoid_at_32(self):
-        space = build_space(BlaschkeProduct(ZEROS_32))
+        space = ModelSpace(BlaschkeProduct(ZEROS_32))
         entries = tto_matrix(space, space, MIXED).entries
         reference = trapezoid_tto(ZEROS_32, MIXED)
         assert np.max(np.abs(entries - reference)) < 1e-11 * (1.0 + np.max(np.abs(reference)))
 
     def test_trapezoid_catches_a_wrong_zero(self, monkeypatch):
-        space = build_space(BlaschkeProduct(ZEROS_32))
+        space = ModelSpace(BlaschkeProduct(ZEROS_32))
         moved = ZEROS_32[:20] + (ZEROS_32[20] + 1e-6,) + ZEROS_32[21:]
         monkeypatch.setattr(space, "inner", BlaschkeProduct(moved))
         entries = tto_matrix(space, space, MIXED).entries
@@ -286,7 +286,7 @@ class TestCompressionEngine:
     def test_matches_per_column_and_trapezoid(self, n, kind, name):
         symbol = ENGINE_SYMBOLS[name]
         dom_zeros, cod_zeros = engine_zeros(n, kind, 0), engine_zeros(n, kind, 1)
-        dom, cod = build_space(BlaschkeProduct(dom_zeros)), build_space(BlaschkeProduct(cod_zeros))
+        dom, cod = ModelSpace(BlaschkeProduct(dom_zeros)), ModelSpace(BlaschkeProduct(cod_zeros))
         entries = cod.coordinates(symbol, over=dom)
         columns = np.column_stack([cod.coordinates(symbol * e) for e in dom.basis])
         reference = trapezoid_tto(dom_zeros, symbol, codomain=cod_zeros)
@@ -296,8 +296,8 @@ class TestCompressionEngine:
         assert np.array_equal(tto_matrix(dom, cod, symbol).entries, entries)
 
     def test_zero_symbol_and_empty_spaces(self):
-        space = build_space(BlaschkeProduct(COORDINATE_SPACES[1]))
-        empty = build_space(BlaschkeProduct(()))
+        space = ModelSpace(BlaschkeProduct(COORDINATE_SPACES[1]))
+        empty = ModelSpace(BlaschkeProduct(()))
         zero = space.coordinates(RationalFn.zero(), over=space)
         assert zero.shape == (3, 3) and not np.any(zero)
         assert space.coordinates(MIXED, over=empty).shape == (3, 0)
@@ -308,7 +308,7 @@ class TestCompressionEngine:
     @pytest.mark.parametrize("n", (1, 8, 16, 32))
     def test_gram_is_identity(self, n):
         # zeros out to 0.95 cost the recursion digits at n = 32 (1.5e-10 here)
-        space = build_space(BlaschkeProduct(engine_zeros(n, "repeated", 2)))
+        space = ModelSpace(BlaschkeProduct(engine_zeros(n, "repeated", 2)))
         tol = 1e-12 if n <= 16 else 1e-9
         assert np.max(np.abs(space.gram() - np.eye(n))) < tol
 
@@ -316,8 +316,8 @@ class TestCompressionEngine:
         def distance(space, f):
             return norm2(f - space.project(f)) / (1.0 + norm2(f))
 
-        k_alpha = build_space(ALPHA)
-        k_z2 = build_space(Z2)
+        k_alpha = ModelSpace(ALPHA)
+        k_z2 = ModelSpace(Z2)
         a = multiplier_between(k_z2, k_alpha)
         _, residuals = k_alpha.coordinates(a, over=k_z2, residuals=True)
         assert np.all(residuals < 1e-12)
@@ -335,34 +335,34 @@ class TestCompressionEngine:
 
 class TestMultiplier:
     def test_monomial_to_alpha(self):
-        a = multiplier_between(build_space(Z2), build_space(ALPHA))
+        a = multiplier_between(ModelSpace(Z2), ModelSpace(ALPHA))
         expected = RationalFn(
             ComplexPoly([1.0]), ComplexPoly([1.0, -0.5]) * ComplexPoly([1.0, -THIRD])
         )
         assert a.isclose(expected, tol=1e-10)
 
     def test_self_multiplier_is_constant(self):
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         a = multiplier_between(space, space)
         assert a.isclose(ONE, tol=1e-10)
 
     def test_kernel_target(self):
         w = 0.3 - 0.2j
-        target = build_space(BlaschkeProduct((w,)))
-        a = multiplier_between(build_space(BlaschkeProduct((0.0,))), target)
+        target = ModelSpace(BlaschkeProduct((w,)))
+        a = multiplier_between(ModelSpace(BlaschkeProduct((0.0,))), target)
         expected = ONE / RationalFn(ComplexPoly([1.0, -np.conj(w)]))
         assert a.isclose(expected, tol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(NoMultiplierError):
-            multiplier_between(build_space(Z2), build_space(BlaschkeProduct((0.5,))))
+            multiplier_between(ModelSpace(Z2), ModelSpace(BlaschkeProduct((0.5,))))
 
     def test_invertible_analytic_both_ways(self):
         rng = np.random.default_rng(41)
         for _ in range(6):
             d = int(rng.integers(1, 5))
-            src = build_space(random_blaschke(rng, degree=d))
-            dst = build_space(random_blaschke(rng, degree=d))
+            src = ModelSpace(random_blaschke(rng, degree=d))
+            dst = ModelSpace(random_blaschke(rng, degree=d))
             a = multiplier_between(src, dst)
             assert all(abs(r) > 1.0 for r in a.num.roots())
             assert all(abs(r) > 1.0 for r in a.den.roots())
@@ -377,8 +377,8 @@ class TestMultiplier:
         rng = np.random.default_rng(43)
         for _ in range(5):
             d = int(rng.integers(1, 4))
-            src = build_space(random_blaschke(rng, degree=d))
-            dst = build_space(random_blaschke(rng, degree=d))
+            src = ModelSpace(random_blaschke(rng, degree=d))
+            dst = ModelSpace(random_blaschke(rng, degree=d))
             a = multiplier_between(src, dst)
             for _ in range(10):
                 assert projection_transport_defect(src, dst, a, random_rational(rng)) < 1e-9
@@ -401,15 +401,15 @@ class TestMultiplier:
 
     def test_projection_transport_negative_control(self):
         # a * (1 + z/2) carries the source into no model space at all
-        src, dst = build_space(Z2), build_space(ALPHA)
+        src, dst = ModelSpace(Z2), ModelSpace(ALPHA)
         a = multiplier_between(src, dst) * (ONE + 0.5 * Z)
         assert projection_transport_defect(src, dst, a, ONE + Z) > 1e-3
 
     def test_annihilator_duality(self):
         # conj(a) maps the target's annihilator into the source's
         rng = np.random.default_rng(47)
-        src = build_space(random_blaschke(rng, degree=2))
-        dst = build_space(random_blaschke(rng, degree=2))
+        src = ModelSpace(random_blaschke(rng, degree=2))
+        dst = ModelSpace(random_blaschke(rng, degree=2))
         a = multiplier_between(src, dst)
         theta_dst = dst.rational
         for _ in range(10):
@@ -427,13 +427,13 @@ class TestMultiplier:
 
 class TestCrofoot:
     def test_identity_shift(self):
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         j, target = crofoot_multiplier(space, 0.0)
         assert j.isclose(ONE)
         assert target.inner.isclose(ALPHA)
 
     def test_shift_of_z(self):
-        space = build_space(BlaschkeProduct((0.0,)))
+        space = ModelSpace(BlaschkeProduct((0.0,)))
         j, target = crofoot_multiplier(space, 0.5)
         expected = RationalFn(ComplexPoly([np.sqrt(3.0) / 2.0]), ComplexPoly([1.0, -0.5]))
         assert j.isclose(expected, tol=1e-12)
@@ -442,7 +442,7 @@ class TestCrofoot:
     def test_isometry_gram(self):
         rng = np.random.default_rng(53)
         for degree in (1, 3, 5):
-            space = build_space(random_blaschke(rng, degree=degree))
+            space = ModelSpace(random_blaschke(rng, degree=degree))
             w = 0.8 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             j, target = crofoot_multiplier(space, w)
             assert crofoot_gram_check(space, j)[0] < 1e-9
@@ -451,14 +451,14 @@ class TestCrofoot:
 
     def test_parameter_outside_disk(self):
         with pytest.raises(ValueError):
-            crofoot_multiplier(build_space(Z2), 1.2)
+            crofoot_multiplier(ModelSpace(Z2), 1.2)
 
     def test_defect_matrix_is_minus_the_compression(self):
         # G - I = -(compression of 1 - |J|^2), away from the circle where
         # the residue path still resolves the degree-doubled symbol
         rng = np.random.default_rng(59)
         for degree in (1, 2, 4):
-            space = build_space(random_blaschke(rng, degree=degree))
+            space = ModelSpace(random_blaschke(rng, degree=degree))
             j, _ = crofoot_multiplier(space, 0.3 - 0.2j)
             defect = crofoot_defect_matrix(space, j)
             symbol = ONE - j * circle_conjugate(j)
@@ -471,7 +471,7 @@ class TestCrofoot:
         # and e_0 keeps it, so the images' inside factors differ and each
         # pairing takes its own split; the Gram matrix still matches the
         # trapezoidal rule
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         j = RationalFn(ComplexPoly([1.0]), ComplexPoly([-0.5, 1.0]))
         z = unit_circle_samples(512)
         images = basis_samples(ALPHA, z) * j(z)
@@ -480,7 +480,7 @@ class TestCrofoot:
 
     def test_gram_check_negative_control(self):
         # 2 J doubles every image norm
-        space = build_space(ALPHA)
+        space = ModelSpace(ALPHA)
         j, _ = crofoot_multiplier(space, 0.3 - 0.2j)
         residual, vanishes = crofoot_gram_check(space, 2.0 * j)
         assert residual > 1.0 and not vanishes

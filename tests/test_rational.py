@@ -48,6 +48,25 @@ Z = RationalFn.monomial(1)
 ONE = RationalFn.one()
 
 
+class TestComplexPolyOwnsCoefficients:
+    def test_later_write_to_input_leaves_polynomial(self):
+        a = np.array([1, 2, 3], dtype=complex)
+        p = ComplexPoly(a)
+        a[2] = 0
+        assert p.degree == 2 and p.lead == 3
+        assert not np.shares_memory(p.coeffs, a)
+
+    @pytest.mark.parametrize("make", (
+        lambda: np.array([1.0, 2.0, 0.0], dtype=complex),
+        lambda: np.arange(1, 7, dtype=complex).reshape(2, 3),
+        lambda: np.arange(1, 7, dtype=complex)[::2],
+        lambda: np.array([1.0, 2.0]),
+    ), ids=("trimmed", "raveled", "strided", "converted"))
+    def test_no_input_array_is_shared(self, make):
+        a = make()
+        assert not np.shares_memory(ComplexPoly(a).coeffs, a)
+
+
 class TestArithmetic:
     def test_inverse_pair(self):
         f = rat([1.0], [1.0, -0.5])  # 1/(1 - z/2)

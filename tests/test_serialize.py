@@ -7,7 +7,7 @@ import pytest
 
 from mst.blaschke import BlaschkeProduct
 from mst.dual import ComplementElement
-from mst.modelspace import build_space
+from mst.modelspace import ModelSpace
 from mst.operators import tto_matrix
 from mst.rational import ComplexPoly, RationalFn
 from mst.sampling import random_blaschke, random_rational
@@ -51,7 +51,7 @@ class TestRoundTrip:
             assert c.constant == b.constant
 
     def test_matrix_round_trip(self):
-        space = build_space(BlaschkeProduct((0.5, 1 / 3)))
+        space = ModelSpace(BlaschkeProduct((0.5, 1 / 3)))
         m = tto_matrix(space, space, RationalFn.monomial(1) + 0.25)
         doc = through_json(matrix_to_json(m))
         entries, domain, codomain = matrix_from_json(doc)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mst.blaschke import BlaschkeProduct
-from mst.modelspace import build_space, multiplier_between
+from mst.modelspace import ModelSpace, multiplier_between
 from mst.operators import OperatorMatrix, equivalence_transform, tto_matrix
 from mst.rational import (
     ComplexPoly,
@@ -198,37 +198,21 @@ class TestInverseFormula:
 
     def test_constant_symbol(self):
         c = 3.0 + 1.0j
-        out = tto_inverse_via_wh(1, RationalFn(ComplexPoly([c])), ONE)
+        out = tto_inverse_via_wh(wiener_hopf_factorize(1, RationalFn(ComplexPoly([c]))), ONE)
         assert out.isclose(RationalFn(ComplexPoly([1.0 / c])), tol=1e-10)
 
     def test_unit_lower_triangular(self):
         phi = ONE + (5.0 / 6.0) * Z
-        out = tto_inverse_via_wh(2, phi, ONE)
+        out = tto_inverse_via_wh(wiener_hopf_factorize(2, phi), ONE)
         assert out.isclose(ONE - (5.0 / 6.0) * Z, tol=1e-9)
 
     def test_identity_symbol(self):
         f = ONE + 0.3 * Z
-        assert tto_inverse_via_wh(2, ONE, f).isclose(f, tol=1e-10)
+        assert tto_inverse_via_wh(wiener_hopf_factorize(2, ONE), f).isclose(f, tol=1e-10)
 
     def test_rejects_rhs_outside_space(self):
         with pytest.raises(ValueError):
-            tto_inverse_via_wh(1, ONE, Z)
-
-    def test_rejects_mismatched_factorization(self):
-        # the compression of (1 + z^2/2)/z on K_{z^3} is singular, so a
-        # factorization of another degree and symbol must not answer for it
-        phi = (ONE + 0.5 * RationalFn.monomial(2)) * RationalFn.monomial(-1)
-        rhs = ONE + Z + RationalFn.monomial(2)
-        other = wiener_hopf_factorize(2, 2.0 + 0.3 * Z)
-        with pytest.raises(ValueError):
-            tto_inverse_via_wh(3, phi, rhs, other)
-        with pytest.raises(NoCanonicalFactorization):
-            tto_inverse_via_wh(3, phi, rhs)
-        with pytest.raises(ValueError):
-            tto_inverse_via_wh(2, ONE + 0.3 * Z, ONE, other)
-        assert tto_inverse_via_wh(2, 2.0 + 0.3 * Z, ONE, other).isclose(
-            tto_inverse_via_wh(2, 2.0 + 0.3 * Z, ONE)
-        )
+            tto_inverse_via_wh(wiener_hopf_factorize(1, ONE), Z)
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(5)
@@ -316,7 +300,7 @@ class TestEquivalenceChaining:
             except SingularOperator:
                 continue
             zn = BlaschkeProduct((0.0,) * n)
-            k_zn, k_alpha = build_space(zn), build_space(alpha)
+            k_zn, k_alpha = ModelSpace(zn), ModelSpace(alpha)
             a = multiplier_between(k_zn, k_alpha)
             phi = circle_conjugate(a).inverse() * psi * a.inverse()
             res = equivalence_transform(alpha, alpha, zn, zn, phi)
@@ -324,7 +308,7 @@ class TestEquivalenceChaining:
             fact = wiener_hopf_factorize(n, psi)
             mid_inverse = np.column_stack(
                 [
-                    k_zn.coordinates(tto_inverse_via_wh(n, psi, RationalFn.monomial(j), fact))
+                    k_zn.coordinates(tto_inverse_via_wh(fact, RationalFn.monomial(j)))
                     for j in range(n)
                 ]
             )

@@ -28,7 +28,9 @@ are imported) shows every output that is not bit-identical.  Items:
   counted by the benchmark's span recorder (``perfbench/spans.py``,
   imported read-only);
 * ``tto_large`` ops 0-3, seed 1: the matrix;
-* ``demos/*.py``: standard output of each demo script, run in process.
+* ``demos/*.py``: standard output of each demo script, run in process;
+* ``api``: the sorted public names of ``mst``, each with the module whose
+  ``__all__`` declares it (or that defines it).
 
 ``sweep`` measures ``tto_matrix``, ``conjugation_matrix`` and, at ``n <=
 16``, ``crofoot_defect_matrix`` against the benchmark's quadrature oracle
@@ -61,6 +63,7 @@ import argparse
 import contextlib
 import glob
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -169,6 +172,20 @@ def digest(mst, workloads, root):
         with contextlib.redirect_stdout(out):
             runpy.run_path(path, run_name="__main__")
         print(f"demos/{os.path.basename(path)} stdout {sha(out.getvalue())}")
+    print("api", " ".join(api_names(mst)))
+
+
+def api_names(mst):
+    """``module.name`` for every public name of ``mst``, sorted by name."""
+    owners = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.startswith("mst."):
+            owners.update(dict.fromkeys(getattr(module, "__all__", ()), module_name[4:]))
+    public = sorted(
+        name for name, value in vars(mst).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    return [f"{owners.get(name) or getattr(mst, name).__module__[4:]}.{name}" for name in public]
 
 
 SWEEP_DEGREES = (2, 4, 8, 16, 24, 32)
