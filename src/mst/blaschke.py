@@ -55,10 +55,11 @@ class BlaschkeProduct:
         zs = tuple(complex(z) for z in (self.zeros if self.zeros is not None else ()))
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", complex(self.constant))
+        # both tests are written so that a NaN fails them
         for z in zs:
-            if abs(z) >= 1.0 - _ZERO_MARGIN:
+            if not abs(z) < 1.0 - _ZERO_MARGIN:
                 raise ValueError(f"Blaschke zero {z} is not strictly inside the disk")
-        if abs(abs(self.constant) - 1.0) > _CONST_TOL:
+        if not abs(abs(self.constant) - 1.0) <= _CONST_TOL:
             raise ValueError(f"constant {self.constant} is not unimodular")
 
     @property

@@ -1,20 +1,26 @@
 """Batch front-end: parse problem inputs, dispatch, emit JSON or CSV.
 
+Each subcommand is declared once, as one entry of ``COMMANDS``.  A space,
+symbol or matrix argument may be ``@path``, which reads its text from a file.
+
 Exit codes: 0 on success, 1 on input errors (malformed JSON or shorthand,
 schema violations, non-finite or degenerate values), 2 on verification
 failures (a residual above tolerance or a mathematically negative verdict).
-Tolerances come from ``--tol``, then the ``MST_TOL`` environment variable,
-then per-command defaults.
+Only the four commands with a verdict take ``--tol``, a finite number:
+``equiv``, ``crofoot`` and ``conjugation-check`` (default 1e-9) and
+``rank-equiv`` (default 1e-8).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
-import os
+import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +38,6 @@ from .operators import (
 )
 from .rational import ComplexPoly, RationalFn
 from .serialize import (
-    SchemaError,
     blaschke_from_json,
     blaschke_to_json,
     complement_element_to_json,
@@ -213,46 +218,34 @@ def parse_shorthand(s: str):
     return RationalFn(num, den)
 
 
-def _read_argument(value: str) -> str:
-    """The argument text, read from the named file when it starts with ``@``."""
+def _load(value: str, parse=None):
+    """Parse an argument, read from the named file when it starts with ``@``,
+    with ``parse`` (default: ``parse_shorthand``, looked up at each call)."""
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
-    return value
-
-
-def _load_argument(value: str):
-    return parse_shorthand(_read_argument(value))
+            value = fh.read()
+    return (parse or parse_shorthand)(value)
 
 
 def _as_blaschke(value: str) -> BlaschkeProduct:
-    obj = _load_argument(value)
+    obj = _load(value)
     if isinstance(obj, RationalFn):
         raise ShorthandError("expected an inner function, got a rational symbol", 0)
     return obj
 
 
 def _as_symbol(value: str) -> RationalFn:
-    obj = _load_argument(value)
+    obj = _load(value)
     if isinstance(obj, BlaschkeProduct):
         return to_rational(obj)
     return obj
 
 
-def _load_matrix(value: str):
-    return matrix_from_json(json.loads(_read_argument(value)))
-
-
-def _tolerance(args, default: float) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("MST_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise SchemaError(f"MST_TOL is not a number: {env!r}") from None
-    return default
+def _finite_float(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # -- command handlers --------------------------------------------------------
@@ -266,14 +259,8 @@ def _cmd_tto(args):
 
 
 def _cmd_equiv(args):
-    tol = _tolerance(args, 1e-9)
-    result = equivalence_transform(
-        _as_blaschke(args.theta),
-        _as_blaschke(args.alpha),
-        _as_blaschke(args.eta),
-        _as_blaschke(args.gamma),
-        _as_symbol(args.symbol),
-    )
+    spaces = (_as_blaschke(v) for v in (args.theta, args.alpha, args.eta, args.gamma))
+    result = equivalence_transform(*spaces, _as_symbol(args.symbol))
     payload = {
         "E": matrix_to_json(result.E),
         "F": matrix_to_json(result.F),
@@ -281,21 +268,18 @@ def _cmd_equiv(args):
         "residual": result.residual,
         "cond_E": result.cond_E,
         "cond_F": result.cond_F,
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
     csv = "key,value\nresidual,{}\ncond_E,{}\ncond_F,{}\n".format(
         result.residual, result.cond_E, result.cond_F
     )
     csv += "E\n" + matrix_to_csv(result.E.entries)
     csv += "F\n" + matrix_to_csv(result.F.entries)
-    code = EXIT_OK if result.residual <= tol else EXIT_VERIFY
-    return payload, csv, code
+    return payload, csv, EXIT_OK if result.residual <= args.tol else EXIT_VERIFY
 
 
 def _cmd_dual_kernel(args):
-    theta = _as_blaschke(args.theta)
-    alpha = _as_blaschke(args.alpha)
-    result = dual_kernel(theta, alpha)
+    result = dual_kernel(_as_blaschke(args.theta), _as_blaschke(args.alpha))
     defect = result.membership_defect()
     if not defect < MEMBERSHIP_TOL:
         detail = f"kernel membership defect {defect!r} is not below {MEMBERSHIP_TOL!r}"
@@ -325,8 +309,7 @@ def _cmd_wh_inverse(args):
         return {"status": "undetermined", "detail": str(exc)}, None, EXIT_VERIFY
     payload = factorization_to_json(fact)
     if args.rhs:
-        solution = tto_inverse_via_wh(fact, _as_symbol(args.rhs))
-        payload["solution"] = rational_to_json(solution)
+        payload["solution"] = rational_to_json(tto_inverse_via_wh(fact, _as_symbol(args.rhs)))
     csv = "entry,value\n" + "\n".join(
         f"g_plus_inv[{i}][{j}],\"{[format_complex(c) for c in fact.g_plus_inv[i][j].coeffs]}\""
         for i in range(2)
@@ -336,7 +319,6 @@ def _cmd_wh_inverse(args):
 
 
 def _cmd_crofoot(args):
-    tol = _tolerance(args, 1e-9)
     space = ModelSpace(_as_blaschke(args.space))
     w = _parse_complex(args.w)
     j, target = crofoot_multiplier(space, w)
@@ -346,33 +328,30 @@ def _cmd_crofoot(args):
         "target": blaschke_to_json(target.inner),
         "gram_residual": gram_residual,
         "zero_symbol_check": bool(vanishes),
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
     csv = f"key,value\ngram_residual,{gram_residual}\nzero_symbol_check,{vanishes}\n"
-    code = EXIT_OK if gram_residual <= tol and vanishes else EXIT_VERIFY
-    return payload, csv, code
+    return payload, csv, EXIT_OK if gram_residual <= args.tol and vanishes else EXIT_VERIFY
 
 
 def _cmd_conjugation_check(args):
-    tol = _tolerance(args, 1e-9)
     space = ModelSpace(_as_blaschke(args.space))
-    symbol = _as_symbol(args.symbol)
     c = conjugation_matrix(space)
-    residual = selfadjoint_residual(tto_matrix(space, space, symbol), c)
+    residual = selfadjoint_residual(tto_matrix(space, space, _as_symbol(args.symbol)), c)
+    selfadjoint = residual < args.tol
     payload = {
-        "selfadjoint": residual < tol,
+        "selfadjoint": selfadjoint,
         "residual": residual,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "conjugation": [[complex_to_pair(v) for v in row] for row in c.J],
     }
-    csv = f"key,value\nresidual,{residual}\nselfadjoint,{residual < tol}\n"
-    return payload, csv, EXIT_OK if residual < tol else EXIT_VERIFY
+    csv = f"key,value\nresidual,{residual}\nselfadjoint,{selfadjoint}\n"
+    return payload, csv, EXIT_OK if selfadjoint else EXIT_VERIFY
 
 
 def _cmd_rank_equiv(args):
-    tol = _tolerance(args, 1e-8)
-    a_entries, _, _ = _load_matrix(args.a)
-    b_entries, _, _ = _load_matrix(args.b)
+    a_entries, _, _ = matrix_from_json(_load(args.a, json.loads))
+    b_entries, _, _ = matrix_from_json(_load(args.b, json.loads))
     try:
         e_mat, f_mat = rank_equivalence(a_entries, b_entries)
     except NotEquivalentError as exc:
@@ -384,54 +363,67 @@ def _cmd_rank_equiv(args):
         "E": [[complex_to_pair(v) for v in row] for row in e_mat],
         "F": [[complex_to_pair(v) for v in row] for row in f_mat],
         "residual": residual,
-        "tolerance": tol,
+        "tolerance": args.tol,
     }
     csv = f"equivalent,True\nresidual,{residual}\n"
     csv += "E\n" + matrix_to_csv(e_mat) + "F\n" + matrix_to_csv(f_mat)
-    return payload, csv, EXIT_OK if residual <= tol else EXIT_VERIFY
+    return payload, csv, EXIT_OK if residual <= args.tol else EXIT_VERIFY
 
 
 def _cmd_verify(args):
     reports = run_all(args.seed) if args.suite == "all" else [run_suite(args.suite, args.seed)]
-    payload = {
-        "suites": [
-            {
-                "suite": rep.suite,
-                "passed": rep.passed,
-                "max_residual": rep.max_residual,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "residual": c.residual,
-                        "tolerance": c.tolerance,
-                        "direction": c.direction,
-                        "passed": c.passed,
-                    }
-                    for c in rep.checks
-                ],
-            }
-            for rep in reports
-        ],
-        "passed": all(rep.passed for rep in reports),
-    }
+    suites = [
+        {
+            "suite": rep.suite,
+            "passed": rep.passed,
+            "max_residual": rep.max_residual,
+            "checks": [{**dataclasses.asdict(c), "passed": c.passed} for c in rep.checks],
+        }
+        for rep in reports
+    ]
+    passed = all(rep.passed for rep in reports)
     lines = ["suite,check,residual,tolerance,direction,passed"]
-    for rep in reports:
-        for c in rep.checks:
-            lines.append(
-                f"{rep.suite},{c.name},{c.residual},{c.tolerance},{c.direction},{c.passed}"
-            )
-    return payload, "\n".join(lines) + "\n", EXIT_OK if payload["passed"] else EXIT_VERIFY
+    lines += [",".join(map(str, (s["suite"], *c.values()))) for s in suites for c in s["checks"]]
+    payload = {"suites": suites, "passed": passed}
+    return payload, "\n".join(lines) + "\n", EXIT_OK if passed else EXIT_VERIFY
 
+
+class Command(NamedTuple):
+    """One ``mst`` subcommand: its handler, help line, ``add_argument`` options
+    by flag, and its ``--tol`` default (``None``: the command takes no ``--tol``)."""
+
+    handler: Callable
+    help: str
+    arguments: dict
+    tol: float | None = None
+
+
+_REQUIRED = {"required": True}
+_MATRIX = {"required": True, "help": "matrix JSON (inline or @file)"}
 
 COMMANDS = {
-    "tto": _cmd_tto,
-    "equiv": _cmd_equiv,
-    "dual-kernel": _cmd_dual_kernel,
-    "wh-inverse": _cmd_wh_inverse,
-    "crofoot": _cmd_crofoot,
-    "conjugation-check": _cmd_conjugation_check,
-    "rank-equiv": _cmd_rank_equiv,
-    "verify": _cmd_verify,
+    "tto": Command(_cmd_tto, "assemble a compressed multiplication matrix", {
+        "--space": {"required": True, "help": "domain inner function"},
+        "--codomain": {"help": "codomain inner function (defaults to the domain)"},
+        "--symbol": {"required": True, "help": "rational symbol"}}),
+    "equiv": Command(_cmd_equiv, "three-factor equivalence transport", dict.fromkeys(
+        ("--theta", "--alpha", "--eta", "--gamma", "--symbol"), _REQUIRED), tol=1e-9),
+    "dual-kernel": Command(_cmd_dual_kernel, "kernel of the dual compression",
+                           dict.fromkeys(("--theta", "--alpha"), _REQUIRED)),
+    "wh-inverse": Command(_cmd_wh_inverse, "triangular factorization and inverse", {
+        "--n": {"type": int, "required": True},
+        "--symbol": _REQUIRED,
+        "--rhs": {"help": "apply the inverse to this model-space element"}}),
+    "crofoot": Command(_cmd_crofoot, "isometric shift multiplier", {
+        "--space": _REQUIRED,
+        "--w": {"required": True, "help": "shift parameter (complex literal)"}}, tol=1e-9),
+    "conjugation-check": Command(_cmd_conjugation_check, "complex selfadjointness test",
+                                 dict.fromkeys(("--space", "--symbol"), _REQUIRED), tol=1e-9),
+    "rank-equiv": Command(_cmd_rank_equiv, "equivalence factors from ranks",
+                          dict.fromkeys(("--a", "--b"), _MATRIX), tol=1e-8),
+    "verify": Command(_cmd_verify, "run a named invariant suite", {
+        "--suite": {"required": True, "choices": SUITE_NAMES + ("all",)},
+        "--seed": {"type": int, "default": 2024}}),
 }
 
 
@@ -445,55 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
         "equivalence transports, and verify the library invariants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, options in command.arguments.items():
+            p.add_argument(flag, **options)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=None, help="override the tolerance")
-
-    p = sub.add_parser("tto", help="assemble a compressed multiplication matrix")
-    p.add_argument("--space", required=True, help="domain inner function")
-    p.add_argument("--codomain", help="codomain inner function (defaults to the domain)")
-    p.add_argument("--symbol", required=True, help="rational symbol")
-    common(p)
-
-    p = sub.add_parser("equiv", help="three-factor equivalence transport")
-    for name in ("theta", "alpha", "eta", "gamma"):
-        p.add_argument(f"--{name}", required=True)
-    p.add_argument("--symbol", required=True)
-    common(p)
-
-    p = sub.add_parser("dual-kernel", help="kernel of the dual compression")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--alpha", required=True)
-    common(p)
-
-    p = sub.add_parser("wh-inverse", help="triangular factorization and inverse")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--rhs", help="apply the inverse to this model-space element")
-    common(p)
-
-    p = sub.add_parser("crofoot", help="isometric shift multiplier")
-    p.add_argument("--space", required=True)
-    p.add_argument("--w", required=True, help="shift parameter (complex literal)")
-    common(p)
-
-    p = sub.add_parser("conjugation-check", help="complex selfadjointness test")
-    p.add_argument("--space", required=True)
-    p.add_argument("--symbol", required=True)
-    common(p)
-
-    p = sub.add_parser("rank-equiv", help="equivalence factors from ranks")
-    p.add_argument("--a", required=True, help="matrix JSON (inline or @file)")
-    p.add_argument("--b", required=True, help="matrix JSON (inline or @file)")
-    common(p)
-
-    p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=2024)
-    common(p)
-
+        if command.tol is not None:
+            p.add_argument("--tol", type=_finite_float, default=command.tol,
+                           help="verdict tolerance, a finite number (default %(default)s)")
     return parser
 
 
@@ -504,7 +456,7 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        payload, csv, code = COMMANDS[args.command](args)
+        payload, csv, code = COMMANDS[args.command].handler(args)
     except json.JSONDecodeError as exc:
         print(
             f"input error: line {exc.lineno} column {exc.colno}: {exc.msg}",

@@ -47,7 +47,8 @@ def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError(f"expected an [re, im] pair, got {pair!r}")
     re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # a JSON boolean arrives as a bool, which is an int
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair):
         raise SchemaError(f"pair entries must be numbers, got {pair!r}")
     return complex(re, im)
 

@@ -27,10 +27,14 @@ class TestConstruction:
     def test_zero_outside_disk_rejected(self):
         with pytest.raises(ValueError):
             BlaschkeProduct((1.0,))
+        with pytest.raises(ValueError):
+            BlaschkeProduct((complex(0.5, np.nan),))
 
     def test_constant_must_be_unimodular(self):
         with pytest.raises(ValueError):
             BlaschkeProduct((0.5,), 2.0)
+        with pytest.raises(ValueError):
+            BlaschkeProduct((), np.nan)
 
     def test_unimodular_on_circle(self):
         rng = np.random.default_rng(3)

@@ -393,10 +393,17 @@ class TestCommands:
         ["crofoot", "--space", "blaschke(0.9999999, 0.9999998)", "--w", "0.99999999"],
         ["tto", "--space", "z", "--symbol", "1e400"],
         ["tto", "--space", "z", "--symbol", '{"num": [[NaN, 0]], "den": [[1, 0]]}'],
+        # a NaN constant must fail the unimodularity bound, and a JSON boolean
+        # is no number
+        ["tto", "--space", '{"zeros": [], "constant": [NaN, 0]}', "--symbol", "1"],
+        ["tto", "--space", "z", "--symbol", '{"num": [[true, false]], "den": [[1, 0]]}'],
+        ["tto", "--space", "(1+z)/2", "--symbol", "1"],
     ]
 
     @pytest.mark.parametrize(
-        "argv", REJECTED, ids=["zero-den", "json-empty-den", "degenerate-shift", "overflow", "nan"]
+        "argv", REJECTED,
+        ids=["zero-den", "json-empty-den", "degenerate-shift", "overflow", "nan", "nan-constant",
+             "boolean-pair", "rational-space"],
     )
     def test_rejected_input_exits_one(self, capsys, argv):
         assert run_command(argv) == 1
@@ -410,20 +417,50 @@ class TestCommands:
         assert run_command(argv) == 1
         assert "Laurent polynomial" in capsys.readouterr().err
 
-    def test_env_tolerance(self, capsys, monkeypatch):
-        argv = [
-            "equiv",
-            "--theta", "blaschke(0.5, 0.3333333333)",
-            "--alpha", "blaschke(0.5, 0.3333333333)",
-            "--eta", "z^2",
-            "--gamma", "z^2",
-            "--symbol", "(z^2+1)/z",
-        ]
-        monkeypatch.setenv("MST_TOL", "1e-30")
-        assert run_command(argv) == 2
-        capsys.readouterr()
-        monkeypatch.setenv("MST_TOL", "1e-6")
-        assert run_command(argv) == 0
+    # argparse rejects these before any handler runs; a NaN tolerance would
+    # fail every verdict and an infinite one pass every verdict
+    REJECTED_ARGUMENTS = [
+        ["conjugation-check", "--space", "z^2", "--symbol", "z", "--tol", "nan"],
+        ["conjugation-check", "--space", "z^2", "--symbol", "z", "--tol", "inf"],
+        ["tto", "--space", "z^2", "--symbol", "1", "--tol", "1e-3"],
+        ["tto", "--space", "z^2"],
+        ["tto", "--space", "z^2", "--symbol", "1", "--spin", "1"],
+    ]
+
+    @pytest.mark.parametrize(
+        "argv", REJECTED_ARGUMENTS,
+        ids=["nan-tol", "inf-tol", "tol-without-verdict", "missing-symbol", "unknown-flag"],
+    )
+    def test_rejected_argument_exits_one(self, capsys, argv):
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: " in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["", *cli.COMMANDS], ids=lambda c: c or "mst")
+    def test_help_exits_zero(self, capsys, command):
+        assert run_command([command, "--help"] if command else ["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: mst")
+        takes_tol = command in ("equiv", "crofoot", "conjugation-check", "rank-equiv")
+        assert ("--tol" in out) == takes_tol
+
+    def test_file_argument_reads_the_same_text(self, tmp_path, capsys):
+        space, symbol = tmp_path / "space.txt", tmp_path / "symbol.txt"
+        space.write_text("blaschke(0.5, 0.3333333333)")
+        symbol.write_text("(z^2+1)/z")
+        inline_argv = ["tto", "--space", space.read_text(), "--symbol", symbol.read_text()]
+        assert run_command(inline_argv) == 0
+        inline = capsys.readouterr().out
+        assert run_command(["tto", "--space", f"@{space}", "--symbol", f"@{symbol}"]) == 0
+        assert capsys.readouterr().out == inline
+
+    def test_wh_inverse_undetermined(self, capsys):
+        # no factorization within the degree bound, though the symbol is not
+        # shown to have none: the verdict is left open
+        symbol = "((0.0375788630733165+0.08644613899469755i) + 0.00004936460174881363z)/z"
+        assert run_command(["wh-inverse", "--n", "3", "--symbol", symbol]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "undetermined"
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "matrix.json"

@@ -100,6 +100,8 @@ class TestSchemaRejection:
     def test_bad_pair(self):
         with pytest.raises(SchemaError):
             blaschke_from_json({"zeros": [[0.0]]})
+        with pytest.raises(SchemaError):
+            blaschke_from_json({"zeros": [[False, False]]})
 
     def test_mismatched_shape(self):
         with pytest.raises(SchemaError):

@@ -1,10 +1,12 @@
-"""Scan benchmark ops for failures, or digest library outputs for diffing.
+"""Scan benchmark ops for failures, digest library outputs for diffing, or
+run the standing gates.
 
 Usage, from the root of a checkout::
 
     python3 tools/scan_ops.py scan --workload cli_readme --ops 1680 --seeds 1-10
     python3 tools/scan_ops.py digest [--root DIR] > digest.txt
     python3 tools/scan_ops.py sweep [--root DIR]
+    python3 tools/scan_ops.py gates [--root DIR]
 
 ``scan`` runs ops ``0 <= k < ops`` of one benchmark workload at each seed
 through the workload's own ``request`` and ``check`` (``perfbench/
@@ -55,6 +57,21 @@ line per degree then gives, over 10 symbols ``1 + sum c_k z**k`` with ``0 <
 largest relative deviation of ``MatrixFactorization.inverse`` from a
 50-digit ``mpmath`` inverse of the exact Toeplitz section and the median
 time of ``wiener_hopf_factorize`` plus ``inverse``.
+
+``gates`` runs the checks every library change must pass and prints one
+line per gate, its verdict and the number behind it:
+
+* ``mst verify --suite all`` at suite seeds 2024, 0, 3027 and 4036, in
+  process: each exits 0;
+* ``scan`` of ``cli_readme`` ops below 1680 and ``transport_small`` ops
+  below 1200 at seeds 1-10: no op fails (rerun ``scan`` for the failing
+  ops);
+* ``perfbench/selftest.py``, in a fresh process: every self-test passes;
+* the span targets of ``perfbench/spans.py`` (imported read-only): each
+  resolves on its owner, and a ``Tracer`` installs its wrappers and removes
+  them again.
+
+It then prints the line count of ``src/``, and exits 1 if any gate fails.
 """
 
 from __future__ import annotations
@@ -65,9 +82,11 @@ import glob
 import hashlib
 import inspect
 import io
+import json
 import math
 import os
 import runpy
+import subprocess
 import sys
 import time
 
@@ -188,6 +207,65 @@ def api_names(mst):
     return [f"{owners.get(name) or getattr(mst, name).__module__[4:]}.{name}" for name in public]
 
 
+GATE_VERIFY_SEEDS = (2024, 0, 3027, 4036)
+GATE_SCANS = (("cli_readme", 1680), ("transport_small", 1200))
+GATE_SCAN_SEEDS = "1-10"
+
+
+def gates(mst, workloads, root) -> int:
+    verdicts = []
+
+    def gate(name, ok, detail):
+        verdicts.append(ok)
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}", flush=True)
+
+    for seed in GATE_VERIFY_SEEDS:
+        code, text = workloads.run_cli(mst, ["verify", "--suite", "all", "--seed", str(seed)])
+        suites = json.loads(text)["suites"] if text else []  # no output on an input error
+        checks = [c["passed"] for suite in suites for c in suite["checks"]]
+        gate(f"verify --suite all --seed {seed}", code == 0,
+             f"exit {code}, {sum(checks)} of {len(checks)} checks pass")
+    seeds = seed_list(GATE_SCAN_SEEDS)
+    for name, ops in GATE_SCANS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            failures = scan(mst, workloads, name, ops, seeds)
+        gate(f"scan {name} ops < {ops} seeds {GATE_SCAN_SEEDS}", failures == 0,
+             f"{failures} failing of {ops * len(seeds)} ops")
+    selftest = subprocess.run([sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+                              cwd=root, capture_output=True, text=True)
+    lines = selftest.stdout.splitlines()
+    passed = sum(line.startswith("PASS") for line in lines)
+    ran = passed + sum(line.startswith("FAIL") for line in lines)
+    gate("perfbench/selftest.py", selftest.returncode == 0 and passed == ran > 0,
+         f"exit {selftest.returncode}, {passed} of {ran} self-tests pass")
+    gate("span targets", *span_round_trip(mst))
+    sources = glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True)
+    count = 0
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            count += len(fh.readlines())
+    print(f"src/ {count} lines in {len(sources)} files")
+    return 0 if all(verdicts) else 1
+
+
+def span_round_trip(mst):
+    """``(ok, detail)``: every span target resolves on its owner, and the
+    tracer's wrappers are installed and removed again."""
+    import spans
+
+    targets = spans.layer_targets(mst)
+    missing = [name for name, owner, attr, _ in targets if attr not in owner.__dict__]
+    if missing:
+        return False, f"unresolved: {', '.join(missing)}"
+    originals = [owner.__dict__[attr] for _, owner, attr, _ in targets]
+    with spans.Tracer(mst, spans.Recorder()) as tracer:
+        installed = len(tracer.patches)
+    restored = all(owner.__dict__[attr] is original
+                   for (_, owner, attr, _), original in zip(targets, originals))
+    return restored, (f"{len(targets)} targets resolve, {installed} wrappers installed, "
+                      f"{'all' if restored else 'not all'} removed")
+
+
 SWEEP_DEGREES = (2, 4, 8, 16, 24, 32)
 SWEEP_RADII = (0.5, 0.8, 0.95)
 SWEEP_DRAWS = 10
@@ -298,7 +376,7 @@ def wh_line(mst, oracle, n):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("scan", "digest", "sweep"))
+    parser.add_argument("mode", choices=("scan", "digest", "sweep", "gates"))
     parser.add_argument("--root", default=ROOT, help="checkout to import (default: this one)")
     parser.add_argument("--workload", default="cli_readme")
     parser.add_argument("--ops", type=int, default=84)
@@ -312,6 +390,8 @@ def main(argv=None) -> int:
     if args.mode == "sweep":
         sweep(mst, workloads)
         return 0
+    if args.mode == "gates":
+        return gates(mst, workloads, root)
     return 1 if scan(mst, workloads, args.workload, args.ops, seed_list(args.seeds)) else 0
 
 
