@@ -6,7 +6,7 @@ symbol or matrix argument may be ``@path``, which reads its text from a file.
 Exit codes: 0 on success, 1 on input errors (malformed JSON or shorthand,
 schema violations, non-finite or degenerate values), 2 on verification
 failures (a residual above tolerance or a mathematically negative verdict).
-Only the four commands with a verdict take ``--tol``, a finite number:
+Only the four commands with a verdict take ``--tol``, a finite number >= 0:
 ``equiv``, ``crofoot`` and ``conjugation-check`` (default 1e-9) and
 ``rank-equiv`` (default 1e-8).
 """
@@ -243,8 +243,8 @@ def _as_symbol(value: str) -> RationalFn:
 
 def _finite_float(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
         if command.tol is not None:
             p.add_argument("--tol", type=_finite_float, default=command.tol,
-                           help="verdict tolerance, a finite number (default %(default)s)")
+                           help="verdict tolerance, a finite number >= 0 (default %(default)s)")
     return parser
 
 

@@ -10,8 +10,11 @@ Coordinates come from the generalized backward shift: a Riesz split gives
 P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator.  A
 whole compression is one pass of the same engine (``coordinates(symbol,
 over=domain)``): one root solve of the symbol's denominator, the splits of
-every ``symbol * e_j`` stacked into one linear solve, and the shift run on
-all columns at once, with no ``RationalFn`` built per column.
+every ``symbol * e_j`` gathered into one stacked linear solve, and the
+shift run on all columns at once, with no ``RationalFn`` built per column.
+The shift loops over the zeros only: one table of their powers gives every
+value ``g_k(a_k)`` as one row-times-matrix product and every division by
+``z - a_k`` as one product by a Toeplitz matrix of powers.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .rational import (
     CirclePoleError,
     ComplexPoly,
     RationalFn,
+    _diagonals,
     _factors,
     _gap_norm,
     _pair_with_conjugate,
@@ -187,24 +191,44 @@ def _backward_shift(zeros, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Coordinates of every column ``g_j = num[:, j] / den[:, j]``, analytic
     with its poles outside the closed disk, in the basis of the zeros: with
     ``c_k = sqrt(1 - |a_k|^2) g(a_k)``, the step ``g <- (g(z) (1 - conj(a_k)
-    z) - (1 - |a_k|^2) g(a_k)) / (z - a_k)`` keeps each denominator and is one
-    Horner pass and one top-down deflation over all columns."""
+    z) - (1 - |a_k|^2) g(a_k)) / (z - a_k)`` keeps each denominator.
+
+    Written as ``-conj(a_k) g + (1 - |a_k|^2) (g - g(a_k)) / (z - a_k)``,
+    the step divides only the gap ``g - g(a_k)``, so its rounding is scaled
+    down with ``1 - |a_k|^2`` where ``|a_k|`` nears 1.  One table of the
+    powers of every zero, built by repeated products in extended precision
+    and rounded once, serves all steps: ``g(a_k)`` is one row of it times
+    the numerators, and the division by ``z - a_k`` one product by the
+    upper-triangular Toeplitz matrix of the powers of ``a_k``, applied once
+    more to the remainder of its own result."""
     rows = max(num.shape[0], den.shape[0] - 1, 1)
     acc = np.zeros((rows, num.shape[1]), dtype=complex)
     acc[: num.shape[0]] = num
+    # the power a_k**i in column rows - 1 + i, zeros to the left of the 1;
+    # the products run in extended precision, so each power is rounded once
+    wide = np.ones((len(zeros), rows + 1), dtype=np.clongdouble)
+    wide[:, 1:] = np.array(zeros, dtype=complex)[:, None]
+    powers = np.zeros((len(zeros), 2 * rows), dtype=complex)
+    powers[:, rows - 1 :] = np.cumprod(wide, axis=1)
+    den_at_zeros = powers[:, rows - 1 : rows - 1 + den.shape[0]] @ den
+    quotients = powers[:, _diagonals(rows).T]  # entry (i, l): a_k**(l - i)
     coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
-    den_at_zeros = npp.polyval(np.array(zeros, dtype=complex), den)
+    gap = np.zeros((rows + 1, num.shape[1]), dtype=complex)
     for k, a in enumerate(zeros):
         weight2 = 1.0 - abs(a) ** 2
-        value = npp.polyval(a, acc) / den_at_zeros[:, k]
+        value = powers[k, rows - 1 : 2 * rows - 1] @ acc / den_at_zeros[k]
         coords[k] = np.sqrt(weight2) * value
-        step = np.zeros((rows + 1, num.shape[1]), dtype=complex)
-        step[:rows] = acc
-        step[1:] -= np.conj(a) * acc
-        step[: den.shape[0]] -= (weight2 * value) * den
-        acc[rows - 1] = step[rows]
-        for i in range(rows - 1, 0, -1):
-            acc[i - 1] = step[i] + a * acc[i]
+        # 1 - conj(a) z = weight2 - conj(a) (z - a); the numerator of the
+        # gap g - g(a) over the column's denominator
+        gap[:rows] = acc
+        gap[rows] = 0.0
+        gap[: den.shape[0]] -= value * den
+        quotient = quotients[k] @ gap[1:]
+        # what (z - a) * quotient misses of the gap, above the constant term
+        rest = gap[1:] - quotient
+        rest[:-1] += a * quotient[1:]
+        quotient += quotients[k] @ rest
+        acc = weight2 * quotient - np.conj(a) * acc
     return coords
 
 

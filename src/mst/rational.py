@@ -38,6 +38,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,14 +92,14 @@ class PoleSplitError(ValueError):
 
 def _trim(coeffs) -> np.ndarray:
     """Strip trailing coefficients that vanish relative to the array scale;
-    a non-finite coefficient raises ``ValueError``.  Never a view of the
-    caller's array, which could change after ``ComplexPoly`` freezes the
-    result: an input array is copied only where the result would share its
-    memory."""
+    a non-finite coefficient raises ``ValueError``.  A 1-D C-contiguous
+    complex input array comes back as a view of itself, anything else as a
+    new array; a caller that keeps the result past its own use of the input
+    copies it (``ComplexPoly`` does)."""
     c = coeffs
     if (type(c) is not np.ndarray or c.dtype is not _COMPLEX or c.ndim != 1
             or not c.flags.c_contiguous):
-        c = np.array(c, dtype=complex).ravel()  # a copy of any array input
+        c = np.array(c, dtype=complex).ravel()
     mags = np.abs(c).tolist()
     end = len(mags)
     if not end:
@@ -110,7 +111,7 @@ def _trim(coeffs) -> np.ndarray:
     floor = _TRIM * max(1.0, scale)
     while end and mags[end - 1] <= floor:
         end -= 1
-    return c[:end].copy() if c is coeffs else c[:end]
+    return c[:end]
 
 
 def _horner(coeffs: list, x):
@@ -152,21 +153,32 @@ class ComplexPoly:
             c = coeffs.coeffs.copy()
         else:
             c = _trim(coeffs)
+            if type(coeffs) is np.ndarray:  # never a view of the caller's array
+                c = c.copy()
         c.setflags(write=False)
         self.coeffs = c
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray) -> "ComplexPoly":
+        """The polynomial of a complex array that no caller keeps, such as a
+        fresh product: trimmed and frozen in place, not copied."""
+        p = cls.__new__(cls)
+        p.coeffs = _trim(coeffs)
+        p.coeffs.setflags(write=False)
+        return p
 
     @classmethod
     def from_roots(cls, roots, lead: complex = 1.0) -> "ComplexPoly":
         roots = np.asarray(roots, dtype=complex).ravel()
         if roots.size == 0:
             return cls([lead])
-        return cls(lead * _poly_from_roots(roots))
+        return cls._adopt(lead * _poly_from_roots(roots))
 
     @classmethod
     def monomial(cls, n: int, coeff: complex = 1.0) -> "ComplexPoly":
         c = np.zeros(n + 1, dtype=complex)
         c[n] = coeff
-        return cls(c)
+        return cls._adopt(c)
 
     @property
     def degree(self) -> int:
@@ -230,12 +242,12 @@ class ComplexPoly:
             a, b = b, a
         total = a.copy()
         total[: len(b)] += b
-        return ComplexPoly(total)
+        return ComplexPoly._adopt(total)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexPoly(-self.coeffs)
+        return ComplexPoly._adopt(-self.coeffs)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -252,7 +264,7 @@ class ComplexPoly:
             return o
         if self.is_zero or o.is_zero:
             return ComplexPoly()
-        return ComplexPoly(np.convolve(self.coeffs, o.coeffs))
+        return ComplexPoly._adopt(np.convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -364,7 +376,7 @@ def _cancel_common_factors(n_rest: ComplexPoly, d_rest: ComplexPoly):
         else:
             remaining.append(r)
     if cancelled:
-        n_rest = ComplexPoly(nc)
+        n_rest = ComplexPoly._adopt(nc)
         d_rest = ComplexPoly.from_roots(np.array(remaining), lead=d_rest.lead)
     return n_rest, d_rest, remaining
 
@@ -404,8 +416,8 @@ class RationalFn:
                     f"denominator root {r} lies within {POLE_TOL} of the unit circle"
                 )
         scale = 1.0 / d_rest.lead
-        self.num = ComplexPoly(_times_monomial(n_rest, vn) * scale)
-        self.den = ComplexPoly(_times_monomial(d_rest, vd) * scale)
+        self.num = ComplexPoly._adopt(_times_monomial(n_rest, vn) * scale)
+        self.den = ComplexPoly._adopt(_times_monomial(d_rest, vd) * scale)
 
     # -- constructors ------------------------------------------------------
 
@@ -565,6 +577,40 @@ class FourierSplit:
         return max(equality_residual(again.analytic, self.analytic), norm2(again.antianalytic))
 
 
+@functools.lru_cache(maxsize=64)
+def _diagonals(size: int) -> np.ndarray:
+    """The ``(size, size)`` index ``r - c + size - 1``: gathering a table
+    whose entry ``size - 1 + d`` holds diagonal ``d`` through it builds the
+    Toeplitz matrix with those diagonals."""
+    steps = np.arange(size)
+    index = steps[:, None] - steps + (size - 1)
+    index.setflags(write=False)
+    return index
+
+
+def _sylvester_stack(d_ins, rhs, outs):
+    """The stacked coefficient systems of :func:`_split_solve` and their
+    right-hand sides, all of one size.  Column ``c`` of system ``j`` holds
+    ``Q_j`` shifted down by ``c`` while ``c < deg D_j`` (the unknowns of
+    ``A_j``) and ``D_j`` shifted down by ``c - deg D_j`` after (those of
+    ``W_j``), so every matrix is gathered from one table holding each
+    system's two coefficient arrays as diagonals, through one index."""
+    mis = [len(d) - 1 for d in d_ins]
+    size = max(max(len(r), len(q) - 1 + mi, mi + 1) for r, q, mi in zip(rhs, outs, mis))
+    count, width = len(mis), 2 * size - 1
+    table = np.zeros((count, 2 * width), dtype=complex)
+    b = np.zeros((count, size), dtype=complex)
+    for j, (d, r, q, mi) in enumerate(zip(d_ins, rhs, outs, mis)):
+        q = q[:size]  # longer only when deg D_j = 0, and then unused
+        table[j, size - 1 : size - 1 + len(q)] = q  # Q_j[i] on diagonal i
+        table[j, width + size - 1 - mi : width + size] = d  # D_j[i] on diagonal i - deg D_j
+        b[j, : len(r)] = r
+    # per column, where system j's Q or D half starts in the flat table
+    halves = np.arange(size) >= np.array(mis)[:, None]
+    starts = np.arange(0, 2 * width * count, 2 * width)[:, None] + width * halves
+    return table.take(_diagonals(size) + starts[:, None, :]), b
+
+
 def _split_solve(d_ins, rhs, outs):
     """Solve ``W_j * D_j + A_j * Q_j = R_j`` with ``deg A_j < deg D_j`` for
     every ``j`` at once, given the ascending coefficients of each ``D_j``
@@ -572,27 +618,17 @@ def _split_solve(d_ins, rhs, outs):
     (``rhs``) and of each ``Q_j`` (``outs``), whose roots all lie outside the
     closed disk.
 
-    Each coefficient system is square, with ``deg W_j = max(deg R_j - deg
-    D_j, deg Q_j - 1, 0)``, and nonsingular because ``D_j`` and ``Q_j`` share
-    no root.  The systems are padded with identity blocks to one size,
-    column-scaled and solved in one stacked call, then refined twice with
-    residuals in extended precision, which recovers the digits clusters of
-    near-circle poles cost the solve.  Returns one column per system: the
-    coefficients of ``A_j`` in its first ``deg D_j`` rows, then those of
-    ``W_j``, zero-padded.
+    All systems share one size, the largest ``max(deg R_j + 1, deg Q_j +
+    deg D_j, deg D_j + 1)``: a smaller system widens ``W_j`` to fill it,
+    and stays square and nonsingular because ``D_j`` and ``Q_j`` share no
+    root, so the extra coefficients of ``W_j`` solve to zero.  The stack is
+    gathered in one step (:func:`_sylvester_stack`), column-scaled and
+    solved in one call, then refined twice with residuals in extended
+    precision, which recovers the digits clusters of near-circle poles cost
+    the solve.  Returns one column per system: the coefficients of ``A_j``
+    in its first ``deg D_j`` rows, then those of ``W_j``.
     """
-    mis = [len(d) - 1 for d in d_ins]
-    sizes = [max(len(r), len(q) - 1 + mi, mi + 1) for r, q, mi in zip(rhs, outs, mis)]
-    size, count = max(sizes), len(sizes)
-    m = np.zeros((count, size, size), dtype=complex)
-    b = np.zeros((count, size), dtype=complex)
-    for j, (d, r, q, s, mi) in enumerate(zip(d_ins, rhs, outs, sizes, mis)):
-        for i in range(mi):
-            m[j, i : i + len(q), i] = q
-        for k in range(s - mi):
-            m[j, k : k + mi + 1, mi + k] = d
-        m[j, range(s, size), range(s, size)] = 1.0
-        b[j, : len(r)] = r
+    m, b = _sylvester_stack(d_ins, rhs, outs)
     scale = np.linalg.norm(m, axis=1)
     ms = m / scale[:, None, :]
     sol = np.linalg.solve(ms, b[..., None])

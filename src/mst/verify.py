@@ -353,7 +353,8 @@ def _suite_wh(seed: int) -> SuiteReport:
             continue
         count += 1
         consistency = max(consistency, fact.recombination_defect())
-        if np.linalg.cond(direct.entries) < 1e6:
+        # a draw only invert_direct refused is on the dichotomy flag already
+        if direct is not None and np.linalg.cond(direct.entries) < 1e6:
             agreement = max(agreement, float(np.max(fact.inverse_column_defects(direct))))
     # random symbols are almost surely invertible, so the singular side comes
     # from z and 1/z, the nilpotent shifts on K_{z^2}

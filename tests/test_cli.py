@@ -417,11 +417,12 @@ class TestCommands:
         assert run_command(argv) == 1
         assert "Laurent polynomial" in capsys.readouterr().err
 
-    # argparse rejects these before any handler runs; a NaN tolerance would
-    # fail every verdict and an infinite one pass every verdict
+    # argparse rejects these before any handler runs; a NaN or negative
+    # tolerance would fail every verdict and an infinite one pass every verdict
     REJECTED_ARGUMENTS = [
         ["conjugation-check", "--space", "z^2", "--symbol", "z", "--tol", "nan"],
         ["conjugation-check", "--space", "z^2", "--symbol", "z", "--tol", "inf"],
+        ["conjugation-check", "--space", "z^2", "--symbol", "z", "--tol", "-1"],
         ["tto", "--space", "z^2", "--symbol", "1", "--tol", "1e-3"],
         ["tto", "--space", "z^2"],
         ["tto", "--space", "z^2", "--symbol", "1", "--spin", "1"],
@@ -429,7 +430,8 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "argv", REJECTED_ARGUMENTS,
-        ids=["nan-tol", "inf-tol", "tol-without-verdict", "missing-symbol", "unknown-flag"],
+        ids=["nan-tol", "inf-tol", "negative-tol", "tol-without-verdict", "missing-symbol",
+             "unknown-flag"],
     )
     def test_rejected_argument_exits_one(self, capsys, argv):
         assert run_command(argv) == 1

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 import mst.verify
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
     ModelSpace,
     NoMultiplierError,
+    _backward_shift,
     annihilator_defect,
     basis_samples,
     crofoot_defect_matrix,
@@ -307,9 +309,10 @@ class TestCompressionEngine:
 
     @pytest.mark.parametrize("n", (1, 8, 16, 32))
     def test_gram_is_identity(self, n):
-        # zeros out to 0.95 cost the recursion digits at n = 32 (1.5e-10 here)
+        # zeros out to 0.95 cost the recursion digits at n = 32: 2.4e-11
+        # here, 1.5e-10 when each step divided the whole numerator
         space = ModelSpace(BlaschkeProduct(engine_zeros(n, "repeated", 2)))
-        tol = 1e-12 if n <= 16 else 1e-9
+        tol = 1e-12 if n <= 16 else 1e-10
         assert np.max(np.abs(space.gram() - np.eye(n))) < tol
 
     def test_residuals_match_projection_distance(self):
@@ -331,6 +334,99 @@ class TestCompressionEngine:
         assert np.max(np.abs(residuals - per_column)) < 1e-12
         assert np.all(residuals > 0.1)
         assert abs(k_alpha.membership_residual(MIXED) - distance(k_alpha, MIXED)) < 1e-12
+
+
+def looped_backward_shift(zeros, num, den):
+    """The generalized backward shift as one Horner pass and one row-by-row
+    top-down deflation per zero: the reference for ``_backward_shift``."""
+    rows = max(num.shape[0], den.shape[0] - 1, 1)
+    acc = np.zeros((rows, num.shape[1]), dtype=complex)
+    acc[: num.shape[0]] = num
+    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
+    den_at_zeros = npp.polyval(np.array(zeros, dtype=complex), den)
+    for k, a in enumerate(zeros):
+        weight2 = 1.0 - abs(a) ** 2
+        value = npp.polyval(a, acc) / den_at_zeros[:, k]
+        coords[k] = np.sqrt(weight2) * value
+        step = np.zeros((rows + 1, num.shape[1]), dtype=complex)
+        step[:rows] = acc
+        step[1:] -= np.conj(a) * acc
+        step[: den.shape[0]] -= (weight2 * value) * den
+        acc[rows - 1] = step[rows]
+        for i in range(rows - 1, 0, -1):
+            acc[i - 1] = step[i] + a * acc[i]
+    return coords
+
+
+def mp_backward_shift(zeros, num, den):
+    """``looped_backward_shift`` in 40-digit ``mpmath``, one column at a time."""
+    mpmath = pytest.importorskip("mpmath")
+    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
+    with mpmath.workdps(40):
+        for j in range(num.shape[1]):
+            g = [mpmath.mpc(c) for c in num[:, j]]
+            q = [mpmath.mpc(c) for c in den[:, j]]
+            rows = max(len(g), len(q) - 1, 1)
+            g += [mpmath.mpc(0)] * (rows - len(g))
+            for k, a in enumerate(zeros):
+                a = mpmath.mpc(a)
+                weight2 = 1 - abs(a) ** 2
+                value = mpmath.polyval(g[::-1], a) / mpmath.polyval(q[::-1], a)
+                coords[k, j] = complex(mpmath.sqrt(weight2) * value)
+                step = g + [mpmath.mpc(0)]
+                for i in range(rows):
+                    step[i + 1] -= mpmath.conj(a) * g[i]
+                for i, c in enumerate(q):
+                    step[i] -= weight2 * value * c
+                g[rows - 1] = step[rows]
+                for i in range(rows - 1, 0, -1):
+                    g[i - 1] = step[i] + a * g[i]
+    return coords
+
+
+def shift_case(n, rows, seed):
+    """Zeros out to 0.95 with the origin and a repeated zero at radius 0.95
+    among them, and three columns as a compression makes them: numerators
+    with ``rows`` coefficients over an outside factor of degree two times
+    ``T = prod (1 - conj(b_i) z)`` over none, half and all of up to eight
+    domain zeros ``b_i`` within radius 0.8.  (Higher-degree ``T`` have large
+    coefficients that cancel in every numerator, and both shifts then lose
+    the same digits to that cancellation.)"""
+    rng = np.random.default_rng([n, rows, seed])
+    zeros = list(engine_zeros(n, "distinct", seed))
+    zeros[0] = 0.0
+    if n > 1:
+        zeros[-1] = 0.95 * np.exp(2j * np.pi * rng.uniform())
+    if n > 2:
+        zeros[1] = zeros[-1]
+    num = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+    domain = 0.8 / 0.95 * np.array(engine_zeros(min(n, rows, 8), "distinct", seed + 1))
+    outer = npp.polyfromroots(1.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2)))
+    den = np.zeros((len(outer) + len(domain), 3), dtype=complex)
+    for j, d in enumerate((0, len(domain) // 2, len(domain))):
+        t = np.prod(-np.conj(domain[:d])) * npp.polyfromroots(1.0 / np.conj(domain[:d]))
+        den[: len(outer) + d, j] = npp.polymul(outer, t)
+    return zeros, num, den
+
+
+class TestBackwardShift:
+    """``_backward_shift`` (power table, Toeplitz deflation with one
+    correction) against the row-loop reference and ``mpmath``."""
+
+    @pytest.mark.parametrize("n", (1, 2, 8, 16, 32))
+    def test_matches_row_loop(self, n):
+        for rows in range(1, 41):
+            zeros, num, den = shift_case(n, rows, 0)
+            reference = looped_backward_shift(zeros, num, den)
+            found = _backward_shift(zeros, num, den)
+            assert np.max(np.abs(found - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("n, rows", ((2, 3), (4, 6), (8, 9)))
+    def test_matches_mpmath(self, n, rows):
+        zeros, num, den = shift_case(n, rows, 1)
+        exact = mp_backward_shift(zeros, num, den)
+        found = _backward_shift(zeros, num, den)
+        assert np.max(np.abs(found - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 class TestMultiplier:

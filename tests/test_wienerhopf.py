@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mst.verify
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import ModelSpace, multiplier_between
 from mst.operators import OperatorMatrix, equivalence_transform, tto_matrix
@@ -285,6 +286,24 @@ class TestDichotomy:
                 factorizable = False
             assert invertible == factorizable
             agreements += 1
+
+    def test_suite_fails_when_only_the_direct_inverse_refuses(self, monkeypatch):
+        # invert_direct refuses the first random draw, which factorizes: the
+        # suite records a failed dichotomy check instead of raising
+        refused = []
+
+        def refuse_once(n, phi):
+            if not refused:
+                refused.append(n)
+                raise SingularOperator("refused for the test")
+            return invert_direct(n, phi)
+
+        monkeypatch.setattr(mst.verify, "invert_direct", refuse_once)
+        checks = {c.name: c for c in mst.verify.run_suite("wh").checks}
+        assert refused
+        assert not checks["factorization/invertibility dichotomy"].passed
+        assert checks["factorization recombination"].passed
+        assert checks["formula inverse vs direct inverse"].passed
 
 
 class TestEquivalenceChaining:

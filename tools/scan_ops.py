@@ -16,9 +16,16 @@ benchmark's fail bound.  Ops are independent, so an op fails here exactly
 when it fails inside a benchmark run that reaches it.
 
 ``digest`` prints one line per output item: exact ``repr`` for scalars and
-a SHA-256 prefix for arrays and CLI output.  Diffing the digests of two
-checkouts (``--root`` picks the checkout whose ``src/`` and ``perfbench/``
-are imported) shows every output that is not bit-identical.  Items:
+a SHA-256 prefix for arrays and CLI output, then, after ``~``, a second
+SHA-256 prefix of the item with every float rounded to 8 significant
+digits.  A scalar keeps 8 of its own digits; the entries of an array and
+the numbers in a text (CLI or demo output) are rounded to one quantum, 8
+significant digits of the largest magnitude among them, so entries that
+should vanish and read ``1e-17`` or ``-3e-18`` round alike.  Diffing the
+digests of two checkouts (``--root`` picks the checkout whose ``src/`` and
+``perfbench/`` are imported) shows every output that is not bit-identical;
+an item whose full hash differs while its rounded hash matches moved only
+at rounding level, one whose rounded hash differs changed for real.  Items:
 
 * ``transport_small`` ops 0-47, seeds 1-3: ``E``, ``F``, the transported
   symbol's numerator and denominator, residuals, condition numbers and the
@@ -85,6 +92,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -144,20 +152,57 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+ROUND_DIGITS = 8
+# a decimal number in a text: sign, digits with an optional point, exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def quantum(values) -> float:
+    """The unit of the last of ``ROUND_DIGITS`` significant digits of the
+    largest magnitude among ``values`` (1 when all vanish)."""
+    top = float(np.max(np.abs(values), initial=0.0))
+    if not math.isfinite(top) or top == 0.0:
+        return 1.0
+    return 10.0 ** (math.floor(math.log10(top)) - ROUND_DIGITS + 1)
+
+
+def rounded_sha(data) -> str:
+    """:func:`sha` of ``data`` with every float rounded: a scalar to its own
+    ``ROUND_DIGITS`` significant digits, an array or the numbers in a text
+    to one quantum (:func:`quantum`) for all of them."""
+    if isinstance(data, np.ndarray):
+        q = quantum(data)
+        return sha(np.round(data / q) + 0.0)  # + 0.0: no -0.0
+    if isinstance(data, str):
+        q = quantum([float(m) for m in NUMBER.findall(data)])
+        return sha(NUMBER.sub(lambda m: str(round(float(m.group()) / q)), data))
+    if isinstance(data, (float, complex, np.floating, np.complexfloating)):
+        z = complex(data)
+        return sha(f"{z.real:.{ROUND_DIGITS - 1}e} {z.imag:.{ROUND_DIGITS - 1}e}")
+    return sha(repr(data))
+
+
+def item(key, data):
+    """One digest line: exact ``repr`` of a scalar or :func:`sha` of an
+    array or text, then the :func:`rounded_sha`."""
+    exact = sha(data) if isinstance(data, (np.ndarray, str)) else repr(data)
+    print(f"{key} {exact} ~{rounded_sha(data)}")
+
+
 def transport_items(result):
     if hasattr(result, "tilde_symbol"):  # equivalence_transform
-        yield "E", sha(result.E.entries)
-        yield "F", sha(result.F.entries)
-        yield "tilde.num", sha(result.tilde_symbol.num.coeffs)
-        yield "tilde.den", sha(result.tilde_symbol.den.coeffs)
-        yield "residual", repr(result.residual)
-        yield "cond_E", repr(result.cond_E)
-        yield "cond_F", repr(result.cond_F)
+        yield "E", result.E.entries
+        yield "F", result.F.entries
+        yield "tilde.num", result.tilde_symbol.num.coeffs
+        yield "tilde.den", result.tilde_symbol.den.coeffs
+        yield "residual", result.residual
+        yield "cond_E", result.cond_E
+        yield "cond_F", result.cond_F
     elif hasattr(result, "hypothesis_ok"):  # brown_halmos_product
-        yield "residual", repr(result.residual)
-        yield "hypothesis_ok", repr(result.hypothesis_ok)
+        yield "residual", result.residual
+        yield "hypothesis_ok", result.hypothesis_ok
     else:  # dual_equivalence
-        yield "residual", repr(result)
+        yield "residual", result
 
 
 def digest(mst, workloads, root):
@@ -166,31 +211,31 @@ def digest(mst, workloads, root):
         for k in range(48):
             op = workload.request(k)
             for key, value in transport_items(op.call()):
-                print(f"transport_small/{seed}/{k}/{op.kind}/{key} {value}")
+                item(f"transport_small/{seed}/{k}/{op.kind}/{key}", value)
     for seed in (1, 2, 3):
         workload = workloads.WORKLOADS["cli_readme"](mst, seed)
         for k in range(84):
             op = workload.request(k)
             code, text = op.call()
-            print(f"cli_readme/{seed}/{k}/{op.kind} exit {code} stdout {sha(text)}")
+            item(f"cli_readme/{seed}/{k}/{op.kind} exit {code} stdout", text)
     for seed in (2024, 0, 3027, 4036):
         for report in mst.run_all(seed):
             for check in report.checks:
-                print(f"verify/{seed}/{report.suite}/{check.name} {check.residual!r}")
+                item(f"verify/{seed}/{report.suite}/{check.name}", check.residual)
     import spans
 
     recorder = spans.Recorder()
     with spans.Tracer(mst, recorder):
         mst.run_all()
-    print(f"run_all/model_space_builds {recorder.calls.get('modelspace.ModelSpace', 0)}")
+    item("run_all/model_space_builds", recorder.calls.get("modelspace.ModelSpace", 0))
     workload = workloads.WORKLOADS["tto_large"](mst, 1)
     for k in range(4):
-        print(f"tto_large/1/{k} {sha(workload.request(k).call().entries)}")
+        item(f"tto_large/1/{k}", workload.request(k).call().entries)
     for path in sorted(glob.glob(os.path.join(root, "demos", "*.py"))):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             runpy.run_path(path, run_name="__main__")
-        print(f"demos/{os.path.basename(path)} stdout {sha(out.getvalue())}")
+        item(f"demos/{os.path.basename(path)} stdout", out.getvalue())
     print("api", " ".join(api_names(mst)))
 
 
