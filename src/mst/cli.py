@@ -338,7 +338,7 @@ def _cmd_conjugation_check(args):
     space = ModelSpace(_as_blaschke(args.space))
     c = conjugation_matrix(space)
     residual = selfadjoint_residual(tto_matrix(space, space, _as_symbol(args.symbol)), c)
-    selfadjoint = residual < args.tol
+    selfadjoint = residual <= args.tol
     payload = {
         "selfadjoint": selfadjoint,
         "residual": residual,

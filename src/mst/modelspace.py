@@ -5,16 +5,17 @@ orthogonal complement of ``B * H^2`` inside the Hardy space; its dimension
 equals the degree of ``B``.  A space stores its orthonormal basis, the
 Takenaka-Malmquist family of partial products over the zeros in constructor
 order, as coefficient arrays; ``RationalFn`` views are built on first read.
-Coordinates come from the generalized backward shift: a Riesz split gives
-``g_0 = P_+ f``, then ``c_k = sqrt(1 - |a_k|^2) g_k(a_k)`` and ``g_{k+1} =
-P_+(conj(b_{a_k}) g_k)`` strips one zero at a time from the numerator.  A
-whole compression is one pass of the same engine (``coordinates(symbol,
-over=domain)``): one root solve of the symbol's denominator, the splits of
-every ``symbol * e_j`` gathered into one stacked linear solve, and the
-shift run on all columns at once, with no ``RationalFn`` built per column.
-The shift loops over the zeros only: one table of their powers gives every
-value ``g_k(a_k)`` as one row-times-matrix product and every division by
-``z - a_k`` as one product by a Toeplitz matrix of powers.
+Coordinates, compressions, membership residuals, Gram matrices and the
+Crofoot defect matrix all come from one exact quadrature, the Clark rule
+(:func:`_clark_rule`): for a finite Blaschke product ``Theta`` with
+``Theta(0) = 0`` and a unimodular ``lambda``, the points where ``Theta =
+lambda``, weighted by ``1 / |Theta'|``, integrate ``f * conj(g)`` exactly for
+every ``f, g`` in the model space of ``Theta`` (Clark, J. Analyse Math.
+1972; Garcia, Mashreghi & Ross, *Introduction to Model Spaces and their
+Operators*, 2016, ch. 11).  A compression picks ``Theta`` to hold both
+spaces' zeros and the poles of the symbol (:func:`_symbol_zeros`, one root
+solve), then is one weighted product of basis samples at the nodes; no
+``RationalFn`` is built per column and nothing is split.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .blaschke import BlaschkeProduct, frostman_shift, to_rational
 from .rational import (
@@ -31,12 +31,8 @@ from .rational import (
     CirclePoleError,
     ComplexPoly,
     RationalFn,
-    _diagonals,
-    _factors,
     _gap_norm,
-    _pair_with_conjugate,
-    _reflect,
-    _split_solve,
+    _pair_with_conjugate,  # unused here; perfbench/selftest.py reads it from this module
     _trim,
     circle_conjugate,
     inner_product,
@@ -102,7 +98,7 @@ class ModelSpace:
             parts.append((_trim(tail_num * weight), tail_den))
             tail_num = _trim(np.convolve(tail_num, np.array([-a, 1.0], dtype=complex)))
         # the unreduced numerator and denominator coefficients of each e_k,
-        # which the compression engine multiplies into a symbol's
+        # from which ``basis`` builds its reduced quotients
         self._parts = tuple(parts)
         # Every element of the space is a polynomial of degree < n over the
         # full denominator; cofactors lift each basis numerator to it.  This
@@ -132,12 +128,29 @@ class ModelSpace:
         ``f * e_j``.  With ``residuals``, also the membership residual of
         ``f`` (of each ``f * e_j``) as a second return value.
 
-        One engine serves both (:func:`_compress`): one root solve of ``f``'s
-        denominator, one stacked Riesz split of every ``f * e_j`` and the
-        generalized backward shift run on all columns at once.
+        Every pairing is exact on the Clark rule of ``Theta = z * theta *
+        domain * symbol``, with multiplicity: this space's zeros, the
+        domain's, and the zeros :func:`_symbol_zeros` takes from ``f``'s one
+        root solve.  With ``E`` and ``E_dom`` the basis samples at the nodes
+        and ``w`` the weights, the coordinates are ``(conj(E) * w) @ (f *
+        E_dom)^T``.  The residual of a column is the sampled gap ``r^2 =
+        sum w |f_j - sum_k c_k e_k|^2``, also exact, over ``1 + sqrt(r^2 +
+        sum |c_k|^2)``, the norm of ``f_j``.
         """
-        parts = over._parts if over is not None else ((_ONE, _ONE),)
-        coords, res = _compress(self, f, parts, residuals)
+        count = 1 if over is None else over.dim
+        coords = np.zeros((self.dim, count), dtype=complex)
+        res = np.zeros(count)
+        if not f.is_zero and count and (self.dim or residuals):
+            domain = () if over is None else over.inner.zeros
+            zeros = np.concatenate((self.inner.zeros, domain, _symbol_zeros(f)))
+            nodes, weights = _clark_rule(zeros, 1.0)
+            images = np.atleast_2d(
+                f(nodes) * (1.0 if over is None else basis_samples(over.inner, nodes)))
+            e = basis_samples(self.inner, nodes)
+            coords = (np.conj(e) * weights) @ images.T
+            if residuals:
+                r2 = np.abs(images - coords.T @ e) ** 2 @ weights
+                res = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords) ** 2, axis=0)))
         if over is None:
             coords, res = coords[:, 0], res[0]
         return (coords, res) if residuals else coords
@@ -165,8 +178,8 @@ class ModelSpace:
         return self.membership_residual(f) < tol
 
     def gram(self) -> np.ndarray:
-        """The compression of the symbol ``1``: the basis is analytic, so
-        the backward shift runs on it without a split."""
+        """The compression of the symbol ``1``: the basis Gram matrix on the
+        Clark rule, so its distance from the identity is the rule's error."""
         return self.coordinates(RationalFn.one(), over=self)
 
     def same_space(self, other: "ModelSpace") -> bool:
@@ -179,109 +192,45 @@ class ModelSpace:
 _ONE = np.ones(1, dtype=complex)
 
 
-def _columns(arrays) -> np.ndarray:
-    """Coefficient arrays as the zero-padded columns of one matrix."""
-    out = np.zeros((max(len(c) for c in arrays), len(arrays)), dtype=complex)
-    for j, c in enumerate(arrays):
-        out[: len(c), j] = c
-    return out
+def _clark_rule(zeros, phase: complex):
+    """Nodes and weights of the Clark rule of ``Theta = z prod b_a`` over
+    ``zeros`` (with multiplicity) at the unimodular ``phase``: the points
+    ``zeta`` on the circle with ``Theta(zeta) = phase`` and the weights ``1 /
+    |Theta'(zeta)|``.  For all ``f, g`` in the model space of ``Theta``,
+    ``sum_m w_m f(zeta_m) conj(g(zeta_m))`` is ``<f, g>`` exactly.
 
-
-def _backward_shift(zeros, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Coordinates of every column ``g_j = num[:, j] / den[:, j]``, analytic
-    with its poles outside the closed disk, in the basis of the zeros: with
-    ``c_k = sqrt(1 - |a_k|^2) g(a_k)``, the step ``g <- (g(z) (1 - conj(a_k)
-    z) - (1 - |a_k|^2) g(a_k)) / (z - a_k)`` keeps each denominator.
-
-    Written as ``-conj(a_k) g + (1 - |a_k|^2) (g - g(a_k)) / (z - a_k)``,
-    the step divides only the gap ``g - g(a_k)``, so its rounding is scaled
-    down with ``1 - |a_k|^2`` where ``|a_k|`` nears 1.  One table of the
-    powers of every zero, built by repeated products in extended precision
-    and rounded once, serves all steps: ``g(a_k)`` is one row of it times
-    the numerators, and the division by ``z - a_k`` one product by the
-    upper-triangular Toeplitz matrix of the powers of ``a_k``, applied once
-    more to the remainder of its own result."""
-    rows = max(num.shape[0], den.shape[0] - 1, 1)
-    acc = np.zeros((rows, num.shape[1]), dtype=complex)
-    acc[: num.shape[0]] = num
-    # the power a_k**i in column rows - 1 + i, zeros to the left of the 1;
-    # the products run in extended precision, so each power is rounded once
-    wide = np.ones((len(zeros), rows + 1), dtype=np.clongdouble)
-    wide[:, 1:] = np.array(zeros, dtype=complex)[:, None]
-    powers = np.zeros((len(zeros), 2 * rows), dtype=complex)
-    powers[:, rows - 1 :] = np.cumprod(wide, axis=1)
-    den_at_zeros = powers[:, rows - 1 : rows - 1 + den.shape[0]] @ den
-    quotients = powers[:, _diagonals(rows).T]  # entry (i, l): a_k**(l - i)
-    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
-    gap = np.zeros((rows + 1, num.shape[1]), dtype=complex)
-    for k, a in enumerate(zeros):
-        weight2 = 1.0 - abs(a) ** 2
-        value = powers[k, rows - 1 : 2 * rows - 1] @ acc / den_at_zeros[k]
-        coords[k] = np.sqrt(weight2) * value
-        # 1 - conj(a) z = weight2 - conj(a) (z - a); the numerator of the
-        # gap g - g(a) over the column's denominator
-        gap[:rows] = acc
-        gap[rows] = 0.0
-        gap[: den.shape[0]] -= value * den
-        quotient = quotients[k] @ gap[1:]
-        # what (z - a) * quotient misses of the gap, above the constant term
-        rest = gap[1:] - quotient
-        rest[:-1] += a * quotient[1:]
-        quotient += quotients[k] @ rest
-        acc = weight2 * quotient - np.conj(a) * acc
-    return coords
-
-
-def _compress(space: ModelSpace, f: RationalFn, parts, residuals: bool):
-    """Coordinates in ``space`` of every ``f * p_j / T_j`` (``parts`` holds
-    the pairs ``(p_j, T_j)`` of coefficients), one column each, and with
-    ``residuals`` their membership residuals.
-
-    One root solve splits ``f = N / (D_in D_out)``.  The poles of ``1 / T_j``
-    lie outside the disk, so ``P_+ (f p_j / T_j) = W_j / (D_out T_j)`` with
-    ``W_j D_in + A_j (D_out T_j) = N p_j``, solved for all ``j`` in one stack
-    (:func:`rational._split_solve`) with nothing reduced; the backward shift
-    then reads the coordinates off every ``W_j / (D_out T_j)`` together.  The
-    residual of a column is ``sqrt(||A_j / D_in||^2 + ||W_j / (D_out T_j) - P
-    f_j||^2) / (1 + ||f_j||)``, the distance measured against the
-    coordinates found by the exact pairing kernel on the arrays at hand
-    (:func:`rational._pair_with_conjugate`: ``D_in`` inside, ``Q_j``,
-    ``D_full`` and ``D_out`` outside), so it stays independent of the
-    recursion and builds no ``RationalFn``.
+    The nodes are the eigenvalues of the Clark unitary ``S + phase e_0 c^H``
+    in the Takenaka-Malmquist basis of ``a = (0, zeros)``, projected onto the
+    circle.  The compressed shift ``S`` is lower triangular, with ``S[j, j]
+    = a_j`` and ``S[i, j] = w_i w_j prod_{j<k<i} (-conj(a_k))`` for ``w =
+    sqrt(1 - |a|^2)``, and ``c_k = w_k prod_{j>k} (-a_j)``.  The weights are
+    ``1 / sum_a (1 - |a|^2) / |zeta - a|^2``, a sum of positive terms.
     """
-    count = len(parts)
-    coords = np.zeros((space.dim, count), dtype=complex)
-    res = np.zeros(count)
-    if f.is_zero or count == 0 or not (space.dim or residuals):
-        return coords, res
-    num, d_in, d_out = _factors(f)
-    mi = len(d_in) - 1
-    rhs = [np.convolve(num, p) for p, _ in parts]
-    dens = [np.convolve(d_out, t) for _, t in parts]
-    if mi == 0:
-        nums, antis = _columns(rhs), None
-    else:
-        sol = _split_solve([d_in] * count, rhs, dens)
-        nums, antis = sol[mi:], sol[:mi]
-    if space.dim:
-        coords = _backward_shift(space.inner.zeros, nums, _columns(dens))
-    if residuals:
-        # f_j's analytic part minus P f_j = (L c_j) / D_full is (W_j D_full
-        # - Q_j L c_j) / (Q_j D_full); its norm and that of A_j / D_in are
-        # one kernel call for all columns
-        full = space._den_full.coeffs
-        parts = []
-        for j, q in enumerate(dens):
-            gap = np.convolve(nums[:, j], full)
-            if space.dim:
-                gap = npp.polysub(gap, np.convolve(q, space.L @ coords[:, j]))
-            parts.append((gap, _ONE, np.convolve(q, full)))
-        if antis is not None:
-            parts += [(antis[:, j], d_in, _ONE) for j in range(count)]
-        r2 = np.maximum(_pair_with_conjugate(parts, [_reflect(u) for u in parts]).real, 0.0)
-        r2 = r2.reshape(-1, count).sum(axis=0)
-        res[:] = np.sqrt(r2) / (1.0 + np.sqrt(r2 + np.sum(np.abs(coords) ** 2, axis=0)))
-    return coords, res
+    a = np.concatenate(([0.0], np.asarray(zeros, dtype=complex)))
+    w = np.sqrt(1.0 - np.abs(a) ** 2)
+    steps = np.arange(a.size)
+    # row i > j + 1 of column j multiplies in -conj(a_{i-1})
+    factors = np.where(steps[:, None] > steps + 1, -np.conj(np.roll(a, 1))[:, None], 1.0)
+    u = np.tril(np.cumprod(factors, axis=0), -1) * np.outer(w, w) + np.diag(a)
+    tails = np.append(np.cumprod(-a[:0:-1])[::-1], 1.0)  # prod_{j>k} (-a_j)
+    u[0] += phase * np.conj(w * tails)
+    nodes = np.linalg.eigvals(u)
+    nodes /= np.abs(nodes)
+    weights = 1.0 / ((1.0 - np.abs(a) ** 2) @ np.abs(nodes - a[:, None]) ** -2)
+    return nodes, weights
+
+
+def _symbol_zeros(f: RationalFn) -> np.ndarray:
+    """The zeros a symbol ``f`` adds to a Clark rule's ``Theta``, all from
+    one root solve of its denominator: ``max(0, deg num - deg den)`` at the
+    origin, the poles inside the disk and the reflections ``1 / conj(p)`` of
+    those outside.  With them, ``f`` times an element of a model space
+    whose zeros ``Theta`` holds splits into an element of the model space of
+    ``Theta`` and the conjugate of ``z`` times another."""
+    poles = f.poles()
+    outside = np.abs(poles) >= 1.0
+    excess = max(0, f.num.degree - f.den.degree)
+    return np.concatenate((np.zeros(excess), poles[~outside], 1.0 / np.conj(poles[outside])))
 
 
 def basis_samples(inner: BlaschkeProduct, z) -> np.ndarray:
@@ -395,24 +344,17 @@ def crofoot_multiplier(space: ModelSpace, w: complex):
 def crofoot_defect_matrix(space: ModelSpace, j: RationalFn) -> np.ndarray:
     """``G - I`` for the Gram matrix ``G`` of ``j * e_k``: minus the
     compression of ``1 - |j|^2``, zero exactly when multiplication by ``j``
-    is isometric on the space.  Unlike the exact compression of that
-    degree-doubled symbol, it keeps its digits when the poles of ``j`` come
-    near the circle.
+    is isometric on the space.
 
-    Each image ``j * e_k`` is built reduced once, from ``j`` and the basis
-    coefficients, and split at the circle once (:func:`rational._factors`);
-    its conjugate's factors are the reflections.  All ``n^2`` pairings are
-    one call of the pairing kernel, one stacked split solve
-    (:func:`rational._pair_with_conjugate`): at degree ``n`` that is ``n``
-    ``RationalFn`` builds and ``2n`` root solves, with no Riesz split.
-    Reducing each image matters: one common denominator for all of them
-    loses digits when the poles of ``j`` near the circle.
+    Every image ``j * e_k`` lies in the model space of ``z`` times the
+    space's inner function and the Blaschke factors of ``j``'s poles
+    (:func:`_symbol_zeros`), so ``G`` is exact on that product's Clark rule:
+    one root solve of ``j``'s denominator, basis samples times ``j`` at the
+    nodes, and no ``RationalFn`` built.
     """
-    images = [_factors(RationalFn(j.num * ComplexPoly(p), j.den * ComplexPoly(t)))
-              for p, t in space._parts]
-    conj_images = [_reflect(v) for v in images]
-    gram = _pair_with_conjugate(images * space.dim, [v for v in conj_images for _ in images])
-    return gram.reshape(space.dim, space.dim) - np.eye(space.dim)
+    nodes, weights = _clark_rule(np.concatenate((space.inner.zeros, _symbol_zeros(j))), 1.0)
+    images = j(nodes) * basis_samples(space.inner, nodes)
+    return (np.conj(images) * weights) @ images.T - np.eye(space.dim)
 
 
 def _entries_vanish(entries: np.ndarray, symbol: RationalFn, tol: float) -> bool:

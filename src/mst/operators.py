@@ -19,7 +19,9 @@ from .modelspace import (
     MEMBERSHIP_TOL,
     ZERO_SYMBOL_TOL,
     ModelSpace,
+    _clark_rule,
     _entries_vanish,
+    basis_samples,
     multiplier_between,
 )
 from .rational import RationalFn, circle_conjugate
@@ -87,9 +89,8 @@ class OperatorMatrix:
 def tto_matrix(domain: ModelSpace, codomain: ModelSpace, symbol: RationalFn) -> OperatorMatrix:
     """Compression of multiplication by ``symbol`` between the two spaces:
     column ``j`` holds the codomain coordinates of ``symbol * e_j``, all
-    columns from one root solve of the symbol's denominator, one stacked
-    Riesz split and one vectorized backward shift
-    (:meth:`ModelSpace.coordinates` with ``over``)."""
+    columns from one root solve of the symbol's denominator and one exact
+    Clark rule (:meth:`ModelSpace.coordinates` with ``over``)."""
     return OperatorMatrix(codomain.coordinates(symbol, over=domain), domain, codomain)
 
 
@@ -281,18 +282,20 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 def conjugation_matrix(space: ModelSpace) -> ConjugationMatrix:
     """The canonical conjugation of the space: ``f -> B * conj(z f)`` on the
-    circle, in closed form.
+    circle.
 
-    With ``e_k = L_k / D`` (:attr:`ModelSpace.L`, ``D = prod (1 - conj(a_j)
-    z)``) and ``B = c prod (z - a_j) / D``, on the circle ``conj(D) = conj(z)^n
-    prod (z - a_j)`` and ``conj(L_k) = conj(z)^(n-1) L_k^#``, where ``L_k^#``
-    is ``L_k``'s coefficient list reversed and conjugated.  So ``B conj(z)
-    conj(e_k) = c L_k^# / D``, and ``J = c L^-1 L^#``: no split, no
-    pairing."""
+    ``J[i, k] = <C e_k, e_i>`` pairs two elements of the space, so it is
+    exact on the Clark rule of ``z * B``'s zeros (``modelspace._clark_rule``,
+    phase 1).  At its nodes ``z B(z) = c``, the constant of ``B``, so ``C e_k
+    = c conj(z)^2 conj(e_k)`` there, and ``J = c (conj(E) * w conj(z)^2) @
+    conj(E)^T`` for the basis samples ``E`` and weights ``w``: symmetric, with
+    no split and no pairing."""
     if space.dim < 1:
         raise ValueError("conjugation needs a space of dimension >= 1")
-    flipped = space.inner.constant * np.conj(space.L[::-1])
-    return ConjugationMatrix(np.linalg.solve(space.L, flipped), space)
+    nodes, weights = _clark_rule(space.inner.zeros, 1.0)
+    e = np.conj(basis_samples(space.inner, nodes))
+    j = space.inner.constant * (e * (weights * np.conj(nodes) ** 2)) @ e.T
+    return ConjugationMatrix(j, space)
 
 
 def selfadjoint_residual(a: OperatorMatrix, c: ConjugationMatrix) -> float:
@@ -308,8 +311,9 @@ def selfadjoint_residual(a: OperatorMatrix, c: ConjugationMatrix) -> float:
 def is_complex_selfadjoint(
     a: OperatorMatrix, c: ConjugationMatrix, tol: float = 1e-9
 ) -> bool:
-    """Whether conjugating ``a`` by the antilinear map gives its adjoint."""
-    return selfadjoint_residual(a, c) < tol
+    """Whether conjugating ``a`` by the antilinear map gives its adjoint:
+    :func:`selfadjoint_residual` at most ``tol``."""
+    return selfadjoint_residual(a, c) <= tol
 
 
 def conjugation_pullback(c: ConjugationMatrix, f: OperatorMatrix) -> ConjugationMatrix:

@@ -34,11 +34,13 @@ Conventions
   (reversed, conjugated arrays and a power of ``z``), and the zeroth Fourier
   coefficient of the product is read from one split solve.  An inner
   product or a norm builds no ``RationalFn`` and makes no Riesz split.
+  The pairing kernel and ``riesz_project`` each solve one coefficient
+  system (``_split_solve``); compressions do not come through here but
+  through the Clark rule of ``modelspace``, which samples on the circle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -577,67 +579,44 @@ class FourierSplit:
         return max(equality_residual(again.analytic, self.analytic), norm2(again.antianalytic))
 
 
-@functools.lru_cache(maxsize=64)
-def _diagonals(size: int) -> np.ndarray:
-    """The ``(size, size)`` index ``r - c + size - 1``: gathering a table
-    whose entry ``size - 1 + d`` holds diagonal ``d`` through it builds the
-    Toeplitz matrix with those diagonals."""
-    steps = np.arange(size)
-    index = steps[:, None] - steps + (size - 1)
-    index.setflags(write=False)
-    return index
+def _split_solve(d_in, rhs, out):
+    """Solve ``W * D + A * Q = R`` with ``deg A < deg D``, given the
+    ascending coefficients of ``D`` (``d_in``), whose roots all lie in the
+    open disk, of ``R`` (``rhs``) and of ``Q`` (``out``), whose roots all lie
+    outside the closed disk.
 
-
-def _sylvester_stack(d_ins, rhs, outs):
-    """The stacked coefficient systems of :func:`_split_solve` and their
-    right-hand sides, all of one size.  Column ``c`` of system ``j`` holds
-    ``Q_j`` shifted down by ``c`` while ``c < deg D_j`` (the unknowns of
-    ``A_j``) and ``D_j`` shifted down by ``c - deg D_j`` after (those of
-    ``W_j``), so every matrix is gathered from one table holding each
-    system's two coefficient arrays as diagonals, through one index."""
-    mis = [len(d) - 1 for d in d_ins]
-    size = max(max(len(r), len(q) - 1 + mi, mi + 1) for r, q, mi in zip(rhs, outs, mis))
-    count, width = len(mis), 2 * size - 1
-    table = np.zeros((count, 2 * width), dtype=complex)
-    b = np.zeros((count, size), dtype=complex)
-    for j, (d, r, q, mi) in enumerate(zip(d_ins, rhs, outs, mis)):
-        q = q[:size]  # longer only when deg D_j = 0, and then unused
-        table[j, size - 1 : size - 1 + len(q)] = q  # Q_j[i] on diagonal i
-        table[j, width + size - 1 - mi : width + size] = d  # D_j[i] on diagonal i - deg D_j
-        b[j, : len(r)] = r
-    # per column, where system j's Q or D half starts in the flat table
-    halves = np.arange(size) >= np.array(mis)[:, None]
-    starts = np.arange(0, 2 * width * count, 2 * width)[:, None] + width * halves
-    return table.take(_diagonals(size) + starts[:, None, :]), b
-
-
-def _split_solve(d_ins, rhs, outs):
-    """Solve ``W_j * D_j + A_j * Q_j = R_j`` with ``deg A_j < deg D_j`` for
-    every ``j`` at once, given the ascending coefficients of each ``D_j``
-    (``d_ins``), whose roots all lie in the open disk, of each ``R_j``
-    (``rhs``) and of each ``Q_j`` (``outs``), whose roots all lie outside the
-    closed disk.
-
-    All systems share one size, the largest ``max(deg R_j + 1, deg Q_j +
-    deg D_j, deg D_j + 1)``: a smaller system widens ``W_j`` to fill it,
-    and stays square and nonsingular because ``D_j`` and ``Q_j`` share no
-    root, so the extra coefficients of ``W_j`` solve to zero.  The stack is
-    gathered in one step (:func:`_sylvester_stack`), column-scaled and
-    solved in one call, then refined twice with residuals in extended
-    precision, which recovers the digits clusters of near-circle poles cost
-    the solve.  Returns one column per system: the coefficients of ``A_j``
-    in its first ``deg D_j`` rows, then those of ``W_j``.
+    The system is square, of size ``max(deg R + 1, deg Q + deg D, deg D +
+    1)``, and nonsingular because ``D`` and ``Q`` share no root.  Column
+    ``c`` holds ``Q`` shifted down by ``c`` while ``c < deg D`` (the
+    unknowns of ``A``) and ``D`` shifted down by ``c - deg D`` after (those
+    of ``W``), so the matrix is gathered in one step from a table holding
+    the two coefficient arrays as diagonals, through the index ``r - c +
+    size - 1`` of diagonal ``r - c``.  It is column-scaled, solved,
+    then refined twice with residuals in extended precision, which recovers
+    the digits clusters of near-circle poles cost the solve.  Returns the
+    coefficients of ``A`` in the first ``deg D`` entries, then those of
+    ``W``.
     """
-    m, b = _sylvester_stack(d_ins, rhs, outs)
-    scale = np.linalg.norm(m, axis=1)
-    ms = m / scale[:, None, :]
-    sol = np.linalg.solve(ms, b[..., None])
+    mi = len(d_in) - 1
+    size = max(len(rhs), len(out) - 1 + mi, mi + 1)
+    width = 2 * size - 1
+    table = np.zeros(2 * width, dtype=complex)
+    q = out[:size]  # longer only when deg D = 0, and then unused
+    table[size - 1 : size - 1 + len(q)] = q  # Q[i] on diagonal i
+    table[width + size - 1 - mi : width + size] = d_in  # D[i] on diagonal i - deg D
+    steps = np.arange(size)
+    m = table.take(steps[:, None] - steps + (size - 1) + width * (steps >= mi))
+    b = np.zeros((size, 1), dtype=complex)
+    b[: len(rhs), 0] = rhs
+    scale = np.linalg.norm(m, axis=0)
+    ms = m / scale
+    sol = np.linalg.solve(ms, b)
     ms_wide = ms.astype(np.clongdouble)
-    b_wide = b[..., None].astype(np.clongdouble)
+    b_wide = b.astype(np.clongdouble)
     for _ in range(2):
         residual = (b_wide - ms_wide @ sol.astype(np.clongdouble)).astype(complex)
         sol = sol + np.linalg.solve(ms, residual)
-    return (sol[..., 0] / scale).T
+    return sol[:, 0] / scale
 
 
 def riesz_project(f: RationalFn) -> FourierSplit:
@@ -646,7 +625,7 @@ def riesz_project(f: RationalFn) -> FourierSplit:
     The denominator factors as ``D_in * D_out`` (:func:`_factors`).  The
     unique representation ``f = W/D_out + A/D_in`` (with ``A`` strictly
     proper) comes from the square coefficient system ``W*D_in + A*D_out =
-    num`` of :func:`_split_solve`, the solver every compression shares;
+    num`` of :func:`_split_solve`, the solver the pairing kernel shares;
     nothing is ever long-divided through an outside-root factor, which keeps
     the split backward stable even for poles far from the circle.
     """
@@ -656,7 +635,7 @@ def riesz_project(f: RationalFn) -> FourierSplit:
     mi = len(d_in) - 1
     if not mi:
         return FourierSplit(f, RationalFn.zero())
-    sol = _split_solve([d_in], [num], [d_out])[:, 0]
+    sol = _split_solve(d_in, num, d_out)
     return FourierSplit(RationalFn(sol[mi:], d_out), RationalFn(sol[:mi], d_in))
 
 
@@ -720,26 +699,24 @@ def _reflect(f):
     return num_r, inside, np.conj(d_in[low:][::-1])
 
 
-def _pair_with_conjugate(fs, gbars) -> np.ndarray:
-    """Zeroth Fourier coefficient of every product ``f * gbar`` over the
-    factored operands ``fs[j]`` and ``gbars[j]`` (``gbar`` pre-conjugated,
-    see :func:`_reflect`), read straight from the coefficient arrays.
+def _pair_with_conjugate(f, gbar) -> complex:
+    """Zeroth Fourier coefficient of the product ``f * gbar`` of the factored
+    operands ``f`` and ``gbar`` (pre-conjugated, see :func:`_reflect`), read
+    straight from the coefficient arrays.
 
     The product is ``N / (D_in D_out)`` with ``D_in = f_in gbar_in`` inside
     and ``D_out = f_out gbar_out`` outside the disk, so ``N = W D_in + A
     D_out`` with ``deg A < deg D_in`` leaves ``A / D_in`` with negative
-    frequencies only and the coefficient is ``W(0) / D_out(0)``.  The splits
-    of all pairs are one :func:`_split_solve`; when nothing lies inside any
-    product the coefficients are ``N(0) / D(0)`` with no solve.
+    frequencies only and the coefficient is ``W(0) / D_out(0)``, from one
+    :func:`_split_solve`; when nothing lies inside it is ``N(0) / D(0)``
+    with no solve.
     """
-    d_ins = [np.convolve(f[1], g[1]) for f, g in zip(fs, gbars)]
-    nums = [np.convolve(f[0], g[0]) for f, g in zip(fs, gbars)]
-    outs = [np.convolve(f[2], g[2]) for f, g in zip(fs, gbars)]
-    at_zero = np.array([q[0] for q in outs])
-    if all(len(d) == 1 for d in d_ins):
-        return np.array([n[0] / d[0] for n, d in zip(nums, d_ins)]) / at_zero
-    sol = _split_solve(d_ins, nums, outs)
-    return sol[[len(d) - 1 for d in d_ins], range(len(d_ins))] / at_zero
+    d_in = np.convolve(f[1], gbar[1])
+    num = np.convolve(f[0], gbar[0])
+    out = np.convolve(f[2], gbar[2])
+    if len(d_in) == 1:
+        return num[0] / d_in[0] / out[0]
+    return _split_solve(d_in, num, out)[len(d_in) - 1] / out[0]
 
 
 def _gap_norm(f: RationalFn, g: RationalFn) -> float:
@@ -756,7 +733,7 @@ def _gap_norm(f: RationalFn, g: RationalFn) -> float:
 def _factored_norm(f) -> float:
     """``L^2`` norm of the factored ``f``: one kernel call against its
     reflection."""
-    return float(np.sqrt(max(_pair_with_conjugate([f], [_reflect(f)])[0].real, 0.0)))
+    return float(np.sqrt(max(_pair_with_conjugate(f, _reflect(f)).real, 0.0)))
 
 
 def inner_product(f: RationalFn, g: RationalFn) -> complex:
@@ -766,7 +743,7 @@ def inner_product(f: RationalFn, g: RationalFn) -> complex:
     ``f`` times ``g``'s circle conjugate, whose factors are ``g``'s reflected
     (:func:`_reflect`): one pole split of each operand and one kernel call.
     """
-    return complex(_pair_with_conjugate([_factors(f)], [_reflect(_factors(g))])[0])
+    return complex(_pair_with_conjugate(_factors(f), _reflect(_factors(g))))
 
 
 def _anti_tail(anti: RationalFn, count: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .modelspace import ModelSpace
 from .operators import OperatorMatrix, tto_matrix
-from .rational import ComplexPoly, RationalFn, _valuation, circle_gap
+from .rational import ComplexPoly, RationalFn, _valuation, circle_gap, sup_on_circle
 
 __all__ = [
     "MatrixFactorization",
@@ -47,7 +47,7 @@ class DegreeCapExceeded(ArithmeticError):
 
 
 class SingularOperator(ArithmeticError):
-    """Direct inversion refused: condition number beyond the trust limit."""
+    """Direct inversion refused: the section is numerically singular."""
 
 
 @dataclass
@@ -244,10 +244,21 @@ def tto_inverse_via_wh(factorization: MatrixFactorization, f: RationalFn) -> Rat
 
 
 def invert_direct(n: int, phi: RationalFn) -> OperatorMatrix:
-    """Direct dense inverse of the compressed operator (the oracle)."""
+    """Direct dense inverse of the compressed operator (the oracle).
+
+    The section is singular when its smallest singular value is at most
+    ``sup |phi| / COND_LIMIT``: its norm is at most ``sup |phi|``, so this
+    refuses every section of condition number beyond ``COND_LIMIT``, and it
+    also refuses a section that reads a rounding-level value where the exact
+    one is 0, whatever its condition number.  The larger of the sampled
+    ``sup |phi|`` and the largest singular value stands for ``sup |phi|``.
+    """
     space = ModelSpace(BlaschkeProduct((0.0,) * n))
     matrix = tto_matrix(space, space, phi)
-    cond = np.linalg.cond(matrix.entries)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularOperator(f"condition number {cond:.3e} beyond the trust limit")
+    sigma = np.linalg.svd(matrix.entries, compute_uv=False)
+    floor = max(sigma[0], sup_on_circle(phi)) / COND_LIMIT
+    if not np.all(np.isfinite(sigma)) or sigma[-1] <= floor:
+        raise SingularOperator(
+            f"smallest singular value {sigma[-1]:.3e} at most sup|phi| / {COND_LIMIT:.0e}"
+        )
     return OperatorMatrix(np.linalg.inv(matrix.entries), space, space)

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from mst import cli
 from mst.blaschke import BlaschkeProduct
 from mst.cli import ShorthandError, parse_shorthand, run_command
+from mst.modelspace import ModelSpace
+from mst.operators import tto_matrix
 from mst.rational import ComplexPoly, RationalFn
+from mst.serialize import matrix_to_csv
 
 
 class TestParseShorthand:
@@ -474,12 +477,26 @@ class TestCommands:
         doc = json.loads(target.read_text())
         assert doc["rows"] == 2
 
+    def test_conjugation_check_passes_at_zero_tolerance(self, capsys):
+        # a verdict passes on residual <= tol: the zero symbol's compression
+        # is exactly 0, so its residual 0.0 meets a tolerance of 0
+        code = run_command(["conjugation-check", "--space", "z^2", "--symbol", "0", "--tol", "0"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["residual"] == 0.0 and payload["selfadjoint"] is True
+
     def test_csv_matrix(self, capsys):
+        # the CSV is the serializer's text of the same compression; the shift
+        # on K_{z^2} reads its structural zeros at rounding level
         code = run_command(["tto", "--space", "z^2", "--symbol", "z", "--format", "csv"])
         assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "0.0+0.0i,0.0+0.0i"
-        assert lines[1] == "1.0+0.0i,0.0+0.0i"
+        out = capsys.readouterr().out
+        space = ModelSpace(BlaschkeProduct((0.0, 0.0)))
+        matrix = tto_matrix(space, space, RationalFn.monomial(1))
+        assert out == matrix_to_csv(matrix.entries)
+        values = [[complex(v.replace("i", "j")) for v in line.split(",")]
+                  for line in out.strip().split("\n")]
+        assert np.max(np.abs(np.array(values) - [[0.0, 0.0], [1.0, 0.0]])) <= 1e-15
 
 
 # Every check of ``mst verify --suite all``, in output order: (suite, name,

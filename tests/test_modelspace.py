@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npp
 
 import mst.verify
 from mst.blaschke import BlaschkeProduct
 from mst.modelspace import (
     ModelSpace,
     NoMultiplierError,
-    _backward_shift,
+    _clark_rule,
+    _symbol_zeros,
     annihilator_defect,
     basis_samples,
     crofoot_defect_matrix,
@@ -20,7 +20,7 @@ from mst.modelspace import (
     projection_transport_defect,
     reproducing_kernels,
 )
-from mst.operators import tto_matrix
+from mst.operators import multiplication_matrix, tto_matrix
 from mst.rational import (
     CirclePoleError,
     ComplexPoly,
@@ -309,11 +309,9 @@ class TestCompressionEngine:
 
     @pytest.mark.parametrize("n", (1, 8, 16, 32))
     def test_gram_is_identity(self, n):
-        # zeros out to 0.95 cost the recursion digits at n = 32: 2.4e-11
-        # here, 1.5e-10 when each step divided the whole numerator
+        # zeros out to 0.95 and a repeated zero
         space = ModelSpace(BlaschkeProduct(engine_zeros(n, "repeated", 2)))
-        tol = 1e-12 if n <= 16 else 1e-10
-        assert np.max(np.abs(space.gram() - np.eye(n))) < tol
+        assert np.max(np.abs(space.gram() - np.eye(n))) < 1e-13
 
     def test_residuals_match_projection_distance(self):
         def distance(space, f):
@@ -336,97 +334,99 @@ class TestCompressionEngine:
         assert abs(k_alpha.membership_residual(MIXED) - distance(k_alpha, MIXED)) < 1e-12
 
 
-def looped_backward_shift(zeros, num, den):
-    """The generalized backward shift as one Horner pass and one row-by-row
-    top-down deflation per zero: the reference for ``_backward_shift``."""
-    rows = max(num.shape[0], den.shape[0] - 1, 1)
-    acc = np.zeros((rows, num.shape[1]), dtype=complex)
-    acc[: num.shape[0]] = num
-    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
-    den_at_zeros = npp.polyval(np.array(zeros, dtype=complex), den)
-    for k, a in enumerate(zeros):
-        weight2 = 1.0 - abs(a) ** 2
-        value = npp.polyval(a, acc) / den_at_zeros[:, k]
-        coords[k] = np.sqrt(weight2) * value
-        step = np.zeros((rows + 1, num.shape[1]), dtype=complex)
-        step[:rows] = acc
-        step[1:] -= np.conj(a) * acc
-        step[: den.shape[0]] -= (weight2 * value) * den
-        acc[rows - 1] = step[rows]
-        for i in range(rows - 1, 0, -1):
-            acc[i - 1] = step[i] + a * acc[i]
-    return coords
-
-
-def mp_backward_shift(zeros, num, den):
-    """``looped_backward_shift`` in 40-digit ``mpmath``, one column at a time."""
-    mpmath = pytest.importorskip("mpmath")
-    coords = np.zeros((len(zeros), num.shape[1]), dtype=complex)
-    with mpmath.workdps(40):
-        for j in range(num.shape[1]):
-            g = [mpmath.mpc(c) for c in num[:, j]]
-            q = [mpmath.mpc(c) for c in den[:, j]]
-            rows = max(len(g), len(q) - 1, 1)
-            g += [mpmath.mpc(0)] * (rows - len(g))
-            for k, a in enumerate(zeros):
-                a = mpmath.mpc(a)
-                weight2 = 1 - abs(a) ** 2
-                value = mpmath.polyval(g[::-1], a) / mpmath.polyval(q[::-1], a)
-                coords[k, j] = complex(mpmath.sqrt(weight2) * value)
-                step = g + [mpmath.mpc(0)]
-                for i in range(rows):
-                    step[i + 1] -= mpmath.conj(a) * g[i]
-                for i, c in enumerate(q):
-                    step[i] -= weight2 * value * c
-                g[rows - 1] = step[rows]
-                for i in range(rows - 1, 0, -1):
-                    g[i - 1] = step[i] + a * g[i]
-    return coords
-
-
-def shift_case(n, rows, seed):
-    """Zeros out to 0.95 with the origin and a repeated zero at radius 0.95
-    among them, and three columns as a compression makes them: numerators
-    with ``rows`` coefficients over an outside factor of degree two times
-    ``T = prod (1 - conj(b_i) z)`` over none, half and all of up to eight
-    domain zeros ``b_i`` within radius 0.8.  (Higher-degree ``T`` have large
-    coefficients that cancel in every numerator, and both shifts then lose
-    the same digits to that cancellation.)"""
-    rng = np.random.default_rng([n, rows, seed])
-    zeros = list(engine_zeros(n, "distinct", seed))
-    zeros[0] = 0.0
+def rule_zeros(n, seed):
+    """``n`` zeros drawn uniformly in the disk of radius 0.99; from ``n = 2``
+    the first is at the origin, and from ``n = 3`` the second repeats the
+    last.  (A double zero of modulus exactly 0.99 puts the Gram error at
+    about 1e-13 at n = 64: nodes rounded to the circle move radially by
+    ``eps``, and the basis near such a zero amplifies that by ``1 / (1 -
+    |a|)``.)"""
+    radius, turn = np.random.default_rng([n, seed]).uniform(0.0, 1.0, (2, n))
+    zeros = 0.99 * np.sqrt(radius) * np.exp(2j * np.pi * turn)
     if n > 1:
-        zeros[-1] = 0.95 * np.exp(2j * np.pi * rng.uniform())
+        zeros[0] = 0.0
     if n > 2:
         zeros[1] = zeros[-1]
-    num = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
-    domain = 0.8 / 0.95 * np.array(engine_zeros(min(n, rows, 8), "distinct", seed + 1))
-    outer = npp.polyfromroots(1.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2)))
-    den = np.zeros((len(outer) + len(domain), 3), dtype=complex)
-    for j, d in enumerate((0, len(domain) // 2, len(domain))):
-        t = np.prod(-np.conj(domain[:d])) * npp.polyfromroots(1.0 / np.conj(domain[:d]))
-        den[: len(outer) + d, j] = npp.polymul(outer, t)
-    return zeros, num, den
+    return tuple(zeros)
 
 
-class TestBackwardShift:
-    """``_backward_shift`` (power table, Toeplitz deflation with one
-    correction) against the row-loop reference and ``mpmath``."""
+def rule_compression(dom_zeros, cod_zeros, symbol, phase, drop_last=False):
+    """The compression of ``symbol`` on the Clark rule at ``phase``, with
+    ``Theta`` built as :meth:`ModelSpace.coordinates` builds it, less its
+    last zero with ``drop_last``."""
+    zeros = np.concatenate((cod_zeros, dom_zeros, _symbol_zeros(symbol)))
+    nodes, weights = _clark_rule(zeros[:-1] if drop_last else zeros, phase)
+    e_dom = basis_samples(BlaschkeProduct(dom_zeros), nodes)
+    e_cod = basis_samples(BlaschkeProduct(cod_zeros), nodes)
+    return (np.conj(e_cod) * weights) @ (symbol(nodes) * e_dom).T
 
-    @pytest.mark.parametrize("n", (1, 2, 8, 16, 32))
-    def test_matches_row_loop(self, n):
-        for rows in range(1, 41):
-            zeros, num, den = shift_case(n, rows, 0)
-            reference = looped_backward_shift(zeros, num, den)
-            found = _backward_shift(zeros, num, den)
-            assert np.max(np.abs(found - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("n, rows", ((2, 3), (4, 6), (8, 9)))
-    def test_matches_mpmath(self, n, rows):
-        zeros, num, den = shift_case(n, rows, 1)
-        exact = mp_backward_shift(zeros, num, den)
-        found = _backward_shift(zeros, num, den)
-        assert np.max(np.abs(found - exact)) <= 1e-13 * np.max(np.abs(exact))
+def sweep_zeros(n, radius, draw):
+    """The domain and codomain zeros of draw ``draw`` of the ``n``, ``radius``
+    cell of ``tools/scan_ops.py sweep``, drawn as ``perfbench/workloads.py``
+    draws them: every third draw repeats a zero."""
+    rng = np.random.default_rng([n, int(100 * radius), draw])
+    zeros = []
+    for _ in range(2):
+        r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+        zeros.append(r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+        if draw % 3 == 2:
+            zeros[-1][-1] = zeros[-1][0]
+    return [tuple(z) for z in zeros]
+
+
+PHASE = np.exp(1.234j)
+
+
+class TestClarkRule:
+    """``_clark_rule`` on its own: the exact Gram matrix of the basis, phase
+    independence, and a negative control."""
+
+    @pytest.mark.parametrize("n", (1, 8, 32, 64))
+    @pytest.mark.parametrize("phase", (1.0, PHASE))
+    def test_basis_gram_is_identity(self, n, phase):
+        zeros = rule_zeros(n, 0)
+        nodes, weights = _clark_rule(zeros, phase)
+        assert nodes.shape == weights.shape == (n + 1,)
+        assert np.all(weights > 0.0) and abs(np.sum(weights) - 1.0) < 1e-13
+        e = basis_samples(BlaschkeProduct(zeros), nodes)
+        assert np.max(np.abs((np.conj(e) * weights) @ e.T - np.eye(n))) < 1e-13
+
+    def test_nodes_solve_theta_equals_phase(self):
+        zeros = rule_zeros(8, 1)
+        nodes, _ = _clark_rule(zeros, PHASE)
+        theta = nodes * BlaschkeProduct(zeros)(nodes)
+        assert np.max(np.abs(theta - PHASE)) < 1e-13
+
+    @pytest.mark.parametrize("n", (1, 2, 4, 8, 16, 32))
+    @pytest.mark.parametrize("kind", ("distinct", "repeated", "close"))
+    @pytest.mark.parametrize("name", sorted(ENGINE_SYMBOLS))
+    def test_phase_independence(self, n, kind, name):
+        symbol = ENGINE_SYMBOLS[name]
+        dom_zeros, cod_zeros = engine_zeros(n, kind, 0), engine_zeros(n, kind, 1)
+        at_one = rule_compression(dom_zeros, cod_zeros, symbol, 1.0)
+        at_phase = rule_compression(dom_zeros, cod_zeros, symbol, PHASE)
+        assert np.max(np.abs(at_one - at_phase)) < 1e-13 * (1.0 + np.max(np.abs(at_one)))
+        dom, cod = ModelSpace(BlaschkeProduct(dom_zeros)), ModelSpace(BlaschkeProduct(cod_zeros))
+        assert np.array_equal(tto_matrix(dom, cod, symbol).entries, at_one)
+
+    @pytest.mark.parametrize("n", (2, 8))
+    def test_missing_pole_moves_with_phase(self, n):
+        # negative control: without the reflection of the outside pole -2.5j
+        # the rule is no longer exact, and its error depends on the phase
+        dom_zeros, cod_zeros = engine_zeros(n, "distinct", 0), engine_zeros(n, "distinct", 1)
+        at_one = rule_compression(dom_zeros, cod_zeros, MIXED, 1.0, drop_last=True)
+        at_phase = rule_compression(dom_zeros, cod_zeros, MIXED, PHASE, drop_last=True)
+        assert np.max(np.abs(at_one - at_phase)) > 1e-6
+
+    @pytest.mark.parametrize("n", (16, 24, 32))
+    def test_canonical_multipliers_accepted(self, n):
+        # the multiplier between two spaces maps one onto the other, so
+        # every membership residual is rounding
+        for draw in range(10):
+            dom, cod = (ModelSpace(BlaschkeProduct(z)) for z in sweep_zeros(n, 0.95, draw))
+            matrix = multiplication_matrix(dom, cod, multiplier_between(dom, cod))
+            assert matrix.entries.shape == (n, n)
 
 
 class TestMultiplier:

@@ -384,7 +384,7 @@ def quadrature_conjugation(inner, nodes=1024):
 
 class TestConjugation:
     @pytest.mark.parametrize("n", (1, 3, 8, 16))
-    def test_closed_form_matches_quadrature(self, n):
+    def test_rule_matches_quadrature(self, n):
         rng = np.random.default_rng([23, n])
         zeros = tuple(random_disk_points(rng, n, 0.9))
         if n > 2:
@@ -395,15 +395,16 @@ class TestConjugation:
         assert unitarity_defect(c.J) < 1e-12
         assert c.involution_defect() < 1e-12
 
-    def test_perturbed_basis_column_is_caught(self, monkeypatch):
+    def test_moved_zero_is_caught(self, monkeypatch):
+        # negative control: the rule built on a zero moved by 1e-3 is the
+        # conjugation of another space, and the quadrature of this one sees it
         inner = BlaschkeProduct((0.5, -0.3j, 0.6 + 0.2j), np.exp(0.7j))
         space = ModelSpace(inner)
-        perturbed = space.L.copy()
-        perturbed[:, 1] *= 1.0 + 1e-3
-        monkeypatch.setattr(space, "L", perturbed)
+        moved = BlaschkeProduct((0.5, -0.3j + 1e-3, 0.6 + 0.2j), np.exp(0.7j))
+        monkeypatch.setattr(space, "inner", moved)
         c = conjugation_matrix(space)
         assert np.max(np.abs(c.J - quadrature_conjugation(inner))) > 1e-4
-        assert unitarity_defect(c.J) > 1e-4
+        assert np.max(np.abs(c.J - quadrature_conjugation(moved))) < 1e-12
 
     def test_flip_on_monomials(self):
         c = conjugation_matrix(K_Z2)

@@ -18,7 +18,6 @@ from mst.rational import (
     _poly_from_roots,
     _shift_down,
     _split_solve,
-    _sylvester_stack,
     _trim,
     _valuation,
     fourier_block,
@@ -216,32 +215,6 @@ def mp_split_solve(d_in, rhs, out):
         return np.array([complex(v) for v in mpmath.lu_solve(m, b)])
 
 
-def looped_stack(d_ins, rhs, outs):
-    """The stacked systems of ``_split_solve`` assembled column by column,
-    each padded to the common size with an identity block: the reference
-    for ``_sylvester_stack``."""
-    mis = [len(d) - 1 for d in d_ins]
-    sizes = [max(len(r), len(q) - 1 + mi, mi + 1) for r, q, mi in zip(rhs, outs, mis)]
-    size, count = max(sizes), len(sizes)
-    m = np.zeros((count, size, size), dtype=complex)
-    b = np.zeros((count, size), dtype=complex)
-    for j, (d, r, q, s, mi) in enumerate(zip(d_ins, rhs, outs, sizes, mis)):
-        for i in range(mi):
-            m[j, i : i + len(q), i] = q
-        for k in range(s - mi):
-            m[j, k : k + mi + 1, mi + k] = d
-        m[j, range(s, size), range(s, size)] = 1.0
-        b[j, : len(r)] = r
-    return m, b
-
-
-def looped_split_solve(monkeypatch, d_ins, rhs, outs):
-    """``_split_solve`` with its stack assembled by ``looped_stack``."""
-    with monkeypatch.context() as patch:
-        patch.setattr(mst.rational, "_sylvester_stack", looped_stack)
-        return _split_solve(d_ins, rhs, outs)
-
-
 def split_systems(specs, seed=0):
     """One system per ``(deg D, deg Q, len R)``: ``D`` with roots within
     radius 0.9, ``Q`` with roots beyond 1.1, random ``R``."""
@@ -260,38 +233,20 @@ class TestSplitSolve:
     @pytest.mark.parametrize(
         "specs",
         (
-            [(3, 4, 8)] * 5,  # uniform: every system has size 8
-            [(2, 5, 8), (5, 3, 8), (1, 7, 6), (4, 0, 8)],  # mixed inside degrees, size 8
-            [(1, 0, 1)],  # one constant right-hand side
+            [(3, 2 + j, 4 + j) for j in range(8)],  # growing outside degree and R
+            # deg D = 0, a Q longer than the system, R longer than Q D
+            [(1, 0, 2), (6, 6, 3), (2, 9, 12), (0, 4, 5), (0, 12, 3), (3, 1, 1), (1, 0, 1)],
         ),
-        ids=("uniform", "mixed", "single"),
+        ids=("growing", "mixed"),
     )
-    def test_gathered_stack_equals_looped_at_one_size(self, monkeypatch, specs):
-        d_ins, rhs, outs = split_systems(specs)
-        m, b = _sylvester_stack(d_ins, rhs, outs)
-        m_ref, b_ref = looped_stack(d_ins, rhs, outs)
-        assert np.array_equal(m, m_ref) and np.array_equal(b, b_ref)
-        reference = looped_split_solve(monkeypatch, d_ins, rhs, outs)
-        assert np.array_equal(_split_solve(d_ins, rhs, outs), reference)
-
-    @pytest.mark.parametrize(
-        "specs",
-        (
-            [(3, 2 + j, 4 + j) for j in range(8)],  # as a compression stacks them
-            # mixed, with deg D = 0 and a Q longer than the common size
-            [(1, 0, 2), (6, 6, 3), (2, 9, 12), (0, 4, 5), (0, 12, 3), (3, 1, 1)],
-        ),
-        ids=("compression", "mixed"),
-    )
-    def test_widened_systems_match_identity_padding(self, monkeypatch, specs):
-        # a system below the common size widens W instead of taking an
-        # identity block: its A and W agree and the extra W coefficients vanish
-        d_ins, rhs, outs = split_systems(specs, seed=1)
-        found = _split_solve(d_ins, rhs, outs)
-        reference = looped_split_solve(monkeypatch, d_ins, rhs, outs)
-        assert found.shape == reference.shape
-        for j, col in enumerate(reference.T):
-            assert np.max(np.abs(found[:, j] - col)) <= 1e-13 * np.max(np.abs(col))
+    def test_matches_mpmath(self, specs):
+        # one system per call: the gathered matrix, the column scaling and
+        # the two refinements against the 40-digit solution
+        for d_in, rhs, out in zip(*split_systems(specs, seed=1)):
+            found = _split_solve(d_in, rhs, out)
+            exact = mp_split_solve(d_in, rhs, out)
+            assert found.shape == exact.shape
+            assert np.max(np.abs(found - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_refinement_recovers_clustered_poles(self):
         # six poles at radius 0.9 facing six at 1.1 across the circle, all
@@ -302,7 +257,7 @@ class TestSplitSolve:
             d_in = npp.polyfromroots(0.9 * np.exp(1j * (0.3 + 0.3 * rng.standard_normal(6))))
             out = npp.polyfromroots(1.1 * np.exp(1j * (0.3 + 0.3 * rng.standard_normal(6))))
             rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            found = _split_solve([d_in], [rhs], [out])[:, 0]
+            found = _split_solve(d_in, rhs, out)
             exact = mp_split_solve(d_in, rhs, out)
             assert np.linalg.norm(found - exact) < 5e-9 * np.linalg.norm(exact)
 

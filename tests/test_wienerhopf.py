@@ -261,6 +261,21 @@ class TestDirectInverse:
         with pytest.raises(SingularOperator):
             invert_direct(2, Z)
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_tiny_invertible_symbol(self, n):
+        # the singular-value floor scales with sup |phi|, so an invertible
+        # section is not refused for being small.  (At 1e-12 the coefficient
+        # trim of ComplexPoly would already read the symbol as 0.)
+        phi = 1e-11 * (ONE + 0.5 * Z)
+        inv = invert_direct(n, phi)
+        section = np.eye(n) + 0.5 * np.eye(n, k=-1)
+        assert np.max(np.abs(inv.entries * 1e-11 - np.linalg.inv(section))) < 1e-12
+
+    def test_rounding_level_shift_is_singular(self):
+        # the compression of z on K_z is 0, read at rounding level
+        with pytest.raises(SingularOperator):
+            invert_direct(1, Z)
+
 
 class TestDichotomy:
     def test_factorization_iff_invertible(self):

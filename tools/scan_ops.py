@@ -53,7 +53,14 @@ a shift ``w`` drawn in the disk of the zero radius, and its defect matrix is
 compared with ``G - I`` for the quadrature Gram matrix ``G`` of ``J e_k``,
 on nodes counted from the zeros and the roots of ``J``'s denominator.  Each
 line is one cell: the median and largest relative deviation and the median
-call time of each function (``-`` where a function is not run).  One
+call time of each function (``-`` where a function is not run), then two
+checks that need no oracle: the number of the cell's draws in which
+``multiplication_matrix`` rejects the canonical multiplier
+``multiplier_between(domain, codomain)`` (it maps the domain onto the
+codomain by construction, so every rejection is a false membership
+residual), and the largest entry deviation of the domain's ``gram()`` from
+the identity over the draws (the basis is orthonormal, so that is the error
+of the compression rule itself).  One
 ``layer`` line per degree then gives the median time, over the 30 draws of
 that degree, of the two exact-layer constructions under every cell: the
 domain's ``ModelSpace(inner)`` and one ``RationalFn`` product ``symbol *
@@ -361,10 +368,12 @@ def sweep(mst, workloads):
     layer_s = {n: ([], []) for n in SWEEP_DEGREES}  # ModelSpace builds, products
     print("n radius | tto_matrix: median max deviation, median s"
           " | conjugation_matrix: median max deviation, median s"
-          " | crofoot_defect_matrix: median max deviation, median s")
+          " | crofoot_defect_matrix: median max deviation, median s"
+          " | multipliers rejected | gram() max deviation")
     for n in SWEEP_DEGREES:
         for radius in SWEEP_RADII:
             tto_rows, conj_rows, crofoot_rows = [], [], []
+            rejected, gram_dev = 0, 0.0
             for draw in range(SWEEP_DRAWS):
                 (dom, cod), num, poles, constant, w = sweep_draw(workloads, n, radius, draw)
                 inner = mst.BlaschkeProduct(tuple(dom), constant)
@@ -385,8 +394,13 @@ def sweep(mst, workloads):
                 conj_rows.append((oracle.rel_dev(conj, np.conj(e) @ image.T / z.size), conj_s))
                 if n <= CROFOOT_MAX_DEGREE:
                     crofoot_rows.append(crofoot_cell(mst, oracle, k_dom, dom, constant, w))
+                try:
+                    mst.multiplication_matrix(k_dom, k_cod, mst.multiplier_between(k_dom, k_cod))
+                except mst.MultiplierRangeViolation:
+                    rejected += 1
+                gram_dev = max(gram_dev, float(np.max(np.abs(k_dom.gram() - np.eye(n)))))
             print(f"{n:2d} {radius:.2f} | {cell_text(tto_rows)} | {cell_text(conj_rows)} "
-                  f"| {cell_text(crofoot_rows or None)}", flush=True)
+                  f"| {cell_text(crofoot_rows or None)} | {rejected} | {gram_dev:.2e}", flush=True)
     print("layer n | ModelSpace(inner): median s | symbol * e_0: median s")
     for n, (builds, products) in layer_s.items():
         print(f"layer {n:2d} | {np.median(builds):.2e} | {np.median(products):.2e}", flush=True)
